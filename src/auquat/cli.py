@@ -9,6 +9,7 @@ solution file is still written).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -33,6 +34,21 @@ def _csv_floats(count=None):
         return values
 
     return parse
+
+
+# Options taking a number list.  argparse reads a value such as
+# "-0.5,0.5,..." as an option of its own, so a value that starts with a
+# minus sign is glued to its option as "--start=-0.5,0.5,...".
+_NUMBER_LIST_OPTIONS = ("--start", "--target", "--kr", "--kt", "--axis", "--deltas")
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    out = list(argv)
+    for k in range(len(out) - 2, -1, -1):
+        if out[k] in _NUMBER_LIST_OPTIONS and _NEGATIVE_NUMBER.match(out[k + 1]):
+            out[k : k + 2] = [f"{out[k]}={out[k + 1]}"]
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,7 +161,8 @@ def _run_probe(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_glue_negative_values(argv))
     try:
         if args.command == "gen":
             return _run_gen(args)

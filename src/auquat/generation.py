@@ -118,9 +118,8 @@ def gen_posegraph(
     rng = _rng(seed)
     x_true = np.concatenate([aug.identity()[None, :], random_auq(rng, n - 1)], axis=0)
     edges = [(i, i + 1) for i in range(n - 1)]
-    candidates = [
-        (i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in set(edges)
-    ]
+    chain = set(edges)
+    candidates = [(i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in chain]
     if loop_edges > len(candidates):
         raise ValueError(f"at most {len(candidates)} extra arcs are available")
     if loop_edges:

@@ -14,7 +14,10 @@ so the solver is a Riemannian gradient descent: ambient gradient,
 tangent projection per quaternion block, Armijo backtracking, and
 renormalization as the retraction.  An optional Gauss-Newton refinement
 on the tangent space (default on) polishes to machine precision on
-zero-residual instances.  For pose graphs the objective is invariant
+zero-residual instances.  Each Gauss-Newton step solves the normal
+equations, summed from the 6x6 tangent blocks of every residual; only
+when they are singular does it take the minimum-norm least-squares
+step instead.  For pose graphs the objective is invariant
 under a global left translation, so one anchor vertex is pinned to the
 identity.
 """
@@ -396,11 +399,12 @@ class SolveResult:
 
 
 def _sphere_basis(p) -> np.ndarray:
-    """Orthonormal basis (4, 3) of the tangent space of S^3 at unit p."""
-    u = np.asarray(p, dtype=float).copy()
-    u[0] += 1.0 if u[0] >= 0.0 else -1.0
-    h = np.eye(4) - (2.0 / (u @ u)) * np.outer(u, u)
-    return h[:, 1:]
+    """Orthonormal bases (..., 4, 3) of the tangent spaces of S^3 at unit p."""
+    u = np.array(p, dtype=float)
+    u[..., 0] += np.where(u[..., 0] >= 0.0, 1.0, -1.0)
+    scale = 2.0 / np.sum(u * u, axis=-1)
+    h = np.eye(4) - scale[..., None, None] * u[..., :, None] * u[..., None, :]
+    return h[..., 1:]
 
 
 def _free_blocks(problem: Problem) -> np.ndarray:
@@ -525,38 +529,62 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
     return RestartRecord(x, f, g_norm, iterations, status)
 
 
+def _gauss_newton_step(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent Gauss-Newton step of the free blocks: (delta (k, 6), bases (k, 4, 3)).
+
+    The normal equations H delta = -g are summed from the 6x6 blocks
+    J_s^T J_t and J_s^T z of every residual.  The minimum-norm
+    least-squares solution is taken only when H is singular.
+    """
+    k = len(free)
+    col = np.full(problem.n_blocks, -1)
+    col[free] = np.arange(k)
+    bases = _sphere_basis(x[free, :4])
+    sqrt_w = np.sqrt(_component_weights(problem))
+    z = residuals(problem, x) * sqrt_w
+    # per block list: tangent Jacobian and free column of every residual row;
+    # a row the list does not reach, or reaches only at the anchor, keeps a
+    # zero Jacobian, so the column 0 it points at receives nothing
+    terms = []
+    for block_idx, rows, jblocks in _block_jacobians(problem, x):
+        keep = col[block_idx] >= 0
+        c, r = col[block_idx[keep]], rows[keep]
+        jb = jblocks[keep] * sqrt_w[:, None]
+        jt = np.zeros((len(z), 7, 6))
+        jt[r, :, :3] = jb[..., :4] @ bases[c]
+        jt[r, :, 3:] = jb[..., 4:]
+        cols = np.zeros(len(z), dtype=int)
+        cols[r] = c
+        terms.append((jt, cols))
+    hess = np.zeros((k, k, 6, 6))
+    grad = np.zeros((k, 6))
+    for jt_s, c_s in terms:
+        np.add.at(grad, c_s, np.einsum("mia,mi->ma", jt_s, z))
+        for jt_t, c_t in terms:
+            np.add.at(hess, (c_s, c_t), np.swapaxes(jt_s, 1, 2) @ jt_t)
+    hess = hess.transpose(0, 2, 1, 3).reshape(6 * k, 6 * k)
+    try:
+        delta = np.linalg.solve(hess, -grad.ravel())
+    except np.linalg.LinAlgError:
+        delta, *_ = np.linalg.lstsq(hess, -grad.ravel(), rcond=None)
+    return delta.reshape(k, 6), bases
+
+
 def _gauss_newton(problem: Problem, x, f, cfg: SolverConfig):
     """Tangent-space Gauss-Newton with step halving; returns (x, f, iters)."""
     free = _free_blocks(problem)
-    col_of = {int(b): 6 * k for k, b in enumerate(free)}
-    sqrt_w = np.sqrt(_component_weights(problem))
     iterations = 0
     for _ in range(cfg.gn_max_iters):
-        bases = {int(b): _sphere_basis(x[b, :4]) for b in free}
-        z = residuals(problem, x) * sqrt_w
-        m = len(z)
-        jac = np.zeros((7 * m, 6 * len(free)))
-        for block_idx, rows, jblocks in _block_jacobians(problem, x):
-            jblocks = jblocks * sqrt_w[None, :, None]
-            for b, r, jb in zip(block_idx, rows, jblocks):
-                b = int(b)
-                if b not in col_of:
-                    continue
-                c = col_of[b]
-                jac[7 * r : 7 * r + 7, c : c + 3] += jb[:, :4] @ bases[b]
-                jac[7 * r : 7 * r + 7, c + 3 : c + 6] += jb[:, 4:]
-        delta, *_ = np.linalg.lstsq(jac, -z.ravel(), rcond=None)
+        delta, bases = _gauss_newton_step(problem, x, free)
         if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) <= 1e-16 * (1.0 + np.linalg.norm(x)):
             break
+        step = np.zeros_like(x)
+        step[free, :4] = np.einsum("kij,kj->ki", bases, delta[:, :3])
+        step[free, 4:] = delta[:, 3:]
         alpha = 1.0
         accepted = False
         while alpha >= 2.0 ** -24:
-            x_new = x.copy()
-            for b in free:
-                d = alpha * delta[col_of[int(b)] : col_of[int(b)] + 6]
-                x_new[b, :4] += bases[int(b)] @ d[:3]
-                x_new[b, 4:] += d[3:]
-            x_new = _retract(problem, x_new)
+            x_new = _retract(problem, x + alpha * step)
             f_new = objective(problem, x_new)
             if np.isfinite(f_new) and f_new < f:
                 accepted = True

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from auquat import files
+from auquat import cli, files
 from auquat import optimization as opt
 from auquat.cli import main
 
@@ -138,3 +138,31 @@ def test_slam_uses_file_initial_guess(tmp_path):
     sol = files.parse_solution(solution)
     rot, trans = opt.pose_error(sol["solution"], x_true)
     assert rot.max() <= 1e-6 and trans.max() <= 1e-6
+
+
+def test_number_lists_may_start_with_minus(tmp_path):
+    start = "-0.5,0.5,0.5,0.5,0.1,0.2,0.3"
+    target = "-0.5,-0.5,0.5,0.5,-0.1,0.2,0.3"
+    spaced, glued = tmp_path / "spaced.txt", tmp_path / "glued.txt"
+    simulate = ["simulate", "--steps", "10"]
+    assert main(simulate + ["--start", start, "--target", target, "-o", str(spaced)]) == 0
+    assert main(simulate + [f"--start={start}", f"--target={target}", "-o", str(glued)]) == 0
+    assert _read(spaced) == _read(glued)
+
+    spaced, glued = tmp_path / "spaced.probe", tmp_path / "glued.probe"
+    assert main(["probe", "--axis", "-1,0,0", "-o", str(spaced)]) == 0
+    assert main(["probe", "--axis=-1,0,0", "-o", str(glued)]) == 0
+    assert _read(spaced) == _read(glued)
+
+
+@pytest.mark.parametrize(
+    "argv, name, values",
+    [
+        (["simulate", "--kr", "-1,2,3"], "kr", [-1.0, 2.0, 3.0]),
+        (["simulate", "--kt", "-.5,2,3"], "kt", [-0.5, 2.0, 3.0]),
+        (["probe", "--deltas", "-1e-6,1e-3"], "deltas", [-1e-6, 1e-3]),
+    ],
+)
+def test_number_list_options_parse_leading_minus(argv, name, values):
+    args = cli._build_parser().parse_args(cli._glue_negative_values(argv + ["-o", "out.txt"]))
+    np.testing.assert_array_equal(getattr(args, name), values)

@@ -98,3 +98,24 @@ def test_noisy_objective_trend_monte_carlo():
             values.append(opt.solve(problem, cfg).objective)
         means.append(np.mean(values))
     assert means[0] <= means[1] <= means[2]
+
+
+@pytest.mark.parametrize("n, loop_edges, seed", [(2, 0, 3), (6, 5, 1), (12, 20, 7), (200, 200, 29)])
+def test_posegraph_matches_reference_generator(n, loop_edges, seed):
+    # the generator as first written, rebuilding the chain set per candidate
+    rng = np.random.default_rng(seed)
+    x_true = np.concatenate([aug.identity()[None, :], gen.random_auq(rng, n - 1)], axis=0)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    candidates = [
+        (i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in set(edges)
+    ]
+    if loop_edges:
+        picks = rng.choice(len(candidates), size=loop_edges, replace=False)
+        edges += [candidates[k] for k in sorted(picks)]
+    edges = np.array(edges, dtype=int)
+    y = aug.compose(aug.auq_inverse(x_true[edges[:, 0]]), x_true[edges[:, 1]])
+
+    problem, truth = gen.gen_posegraph(n, loop_edges, seed=seed)
+    np.testing.assert_array_equal(truth, x_true)
+    np.testing.assert_array_equal(problem.edges, edges)
+    np.testing.assert_array_equal(problem.measurements, aug.as_auq(y))

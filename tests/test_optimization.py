@@ -289,3 +289,67 @@ def test_connected_graph_does_not_warn():
         opt.PoseGraphProblem(
             n=problem.n, edges=problem.edges, measurements=problem.measurements
         )
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Newton step
+
+
+def _dense_lstsq_step(problem, x):
+    """Reference step: lstsq on the dense weighted 7m x 6k tangent Jacobian."""
+    free = opt._free_blocks(problem)
+    col_of = {int(b): c for c, b in enumerate(free)}
+    sqrt_w = np.sqrt(opt._component_weights(problem))
+    z = opt.residuals(problem, x) * sqrt_w
+    jac = np.zeros((len(z), 7, len(free), 6))
+    for block_idx, rows, jblocks in opt._block_jacobians(problem, x):
+        for b, r, jb in zip(block_idx, rows, jblocks * sqrt_w[:, None]):
+            if int(b) in col_of:
+                c = col_of[int(b)]
+                jac[r, :, c, :3] += jb[:, :4] @ opt._sphere_basis(x[b, :4])
+                jac[r, :, c, 3:] += jb[:, 4:]
+    delta, *_ = np.linalg.lstsq(jac.reshape(7 * len(z), -1), -z.ravel(), rcond=None)
+    return delta.reshape(-1, 6)
+
+
+@pytest.mark.parametrize("kind", ["handeye", "world", "posegraph"])
+def test_gauss_newton_step_matches_dense_lstsq(kind):
+    rng = np.random.default_rng(7)
+    if kind == "handeye":
+        problem, x_true = gen_handeye(m=6, seed=3, sigma=0.5)
+        x = x_true[None]
+    elif kind == "world":
+        problem, x_true, y_true = gen_handeye_world(m=6, seed=4, sigma=2.0)
+        x = np.stack([x_true, y_true])
+    else:
+        graph, x = gen_posegraph(n=8, loop_edges=6, seed=5)
+        problem = opt.PoseGraphProblem(
+            n=graph.n, edges=graph.edges, measurements=graph.measurements, anchor=3
+        )
+    x = opt._retract(problem, x + 0.05 * rng.normal(size=x.shape))
+    delta, bases = opt._gauss_newton_step(problem, x, opt._free_blocks(problem))
+    reference = _dense_lstsq_step(problem, x)
+    assert delta.shape == reference.shape
+    assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
+    for b, basis in zip(opt._free_blocks(problem), bases):
+        np.testing.assert_allclose(basis, opt._sphere_basis(x[b, :4]), atol=0)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_solve_weakly_disconnected_graph(n, monkeypatch):
+    """Two 3-cycles, only the first holding the anchor.  With n = 7 vertex 6
+    has no edge, so the normal equations have zero rows and the step falls
+    back to the minimum-norm least-squares solution."""
+    truth = _rand_auq(n, rng=np.random.default_rng(5))
+    truth[0] = aug.IDENTITY
+    edges = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]])
+    y = aug.compose(aug.auq_inverse(truth[edges[:, 0]]), truth[edges[:, 1]])
+    with pytest.warns(UserWarning):
+        problem = opt.PoseGraphProblem(n=n, edges=edges, measurements=y)
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    result = opt.solve(problem)
+    assert result.objective <= 1e-16
+    assert result.status == opt.STATUS_CONVERGED
+    assert bool(calls) == (n == 7)
