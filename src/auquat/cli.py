@@ -2,8 +2,9 @@
 
 Subcommands: gen, calibrate, calibrate-world, slam, simulate, probe.
 All outputs are deterministic for a fixed seed.  Exit codes: 0 success,
-1 I/O failure, 2 malformed input file, 3 solver did not converge (the
-solution file is still written).
+1 I/O failure, 2 malformed input file or invalid option value, 3 solver
+did not converge (the solution file is still written) or simulation
+diverged (no trace is written).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import __version__, files
 from . import generation as gen
 from . import motion
 from .control import Gains, LyapunovWeights, integrate
-from .errors import ParseError
+from .errors import ParseError, StepDiverged
 from .generation import NoiseModel
 from .optimization import STATUS_CONVERGED, SolverConfig, solve
 
@@ -142,15 +143,22 @@ def _run_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     start = args.start if args.start is not None else gen.random_auq(rng)
     target = args.target if args.target is not None else gen.random_auq(rng)
-    trace = integrate(
-        start,
-        target,
-        Gains(args.kr, args.kt),
-        args.dt,
-        args.steps,
-        weights=LyapunovWeights(args.alpha, args.beta),
-        dynamics=args.dynamics,
-    )
+    try:
+        trace = integrate(
+            start,
+            target,
+            Gains(args.kr, args.kt),
+            args.dt,
+            args.steps,
+            weights=LyapunovWeights(args.alpha, args.beta),
+            dynamics=args.dynamics,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except StepDiverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     files.write_trace(args.output, trace)
     return 0
 

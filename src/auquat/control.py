@@ -26,6 +26,13 @@ drives xe to the identity.  Two closed-loop integrations are provided:
   whose indefinite cross terms allow |te| to grow transiently while the
   rotation error is large (see the tests for a quantified example), so
   the uniform exponential envelope above does not hold for it.
+
+Both share the quaternion slot and differ only in the weight, 1 or 1/2,
+on (we . we) te, so one fixed-step RK4 kernel on (B, 7) error rows
+serves both and every run: integrate is its B = 1 case, which keeps
+only the states and renormalization residuals in the loop and derives
+theta_e, V, we and the log-branch flag from them after the loop;
+integrate_batch records V per step.
 """
 
 from __future__ import annotations
@@ -163,48 +170,83 @@ def state_derivative(xe, xi: Twist) -> np.ndarray:
 def lyapunov(xe, weights: LyapunovWeights = LyapunovWeights()) -> np.ndarray | float:
     """V = alpha |theta_e|^2 + beta |te|^2."""
     xe = aug._as_aq(xe)
-    theta = quat.qlog_vec(xe[..., :4])
+    return _lyapunov_of(quat.qlog_vec(xe[..., :4]), xe[..., 4:], weights)
+
+
+def _lyapunov_of(theta, te, weights: LyapunovWeights):
     return weights.alpha * np.sum(theta * theta, axis=-1) + weights.beta * np.sum(
-        xe[..., 4:] ** 2, axis=-1
+        te * te, axis=-1
     )
 
 
-def _closed_loop_derivative(xe, kr, kt, dynamics: str) -> np.ndarray:
-    """Batched derivative of the closed loop under the proportional law."""
-    p, t = xe[..., :4], xe[..., 4:]
-    theta = quat.qlog_vec(p)
-    w = -2.0 * kr * theta
-    if dynamics == DYNAMICS_TWIST:
-        xi = aug.avq(w, -2.0 * kt * t)
-        return 0.5 * aug.compose(xe, xi)
-    p_dot = 0.5 * quat.qmul(p, quat.vector_quat(w))
-    wt = np.sum(w * t, axis=-1, keepdims=True)
-    ww = np.sum(w * w, axis=-1, keepdims=True)
-    t_dot = -kt * t + wt * w - ww * t
-    return np.concatenate([p_dot, t_dot], axis=-1)
+# Weight c on (we . we) te in the translation slot of each closed loop.
+_WW_WEIGHT = {DYNAMICS_EXPONENTIAL: 1.0, DYNAMICS_TWIST: 0.5}
 
 
-def _check_dynamics(dynamics: str) -> str:
-    if dynamics not in (DYNAMICS_EXPONENTIAL, DYNAMICS_TWIST):
-        raise ValueError(f"unknown dynamics {dynamics!r}")
-    return dynamics
+def _closed_loop_derivative(xe, kr, kt, ww_weight: float) -> np.ndarray:
+    """Derivative of the closed loop on (B, 7) error rows.
+
+    With h = Kr theta_e = -we / 2, both dynamics share the rotation slot
+    (1/2) pe [0, we] = [pv . h, h x pv - p0 h]; the translation slot
+    -Kt te + (we . te) we - c (we . we) te reads
+    4 (h . te) h - (Kt + 4 c h . h) te with c = ww_weight.
+    """
+    p0, pv, t = xe[:, :1], xe[:, 1:4], xe[:, 4:]
+    h = kr * quat._log_vec(xe[:, :4])
+    out = np.empty_like(xe)
+    out[:, 0] = np.einsum("bi,bi->b", pv, h)
+    out[:, 1] = h[:, 1] * xe[:, 3] - h[:, 2] * xe[:, 2]
+    out[:, 2] = h[:, 2] * xe[:, 1] - h[:, 0] * xe[:, 3]
+    out[:, 3] = h[:, 0] * xe[:, 2] - h[:, 1] * xe[:, 1]
+    out[:, 1:4] -= p0 * h
+    ht = np.einsum("bi,bi->b", h, t)[:, None]
+    hh = np.einsum("bi,bi->b", h, h)[:, None]
+    out[:, 4:] = (4.0 * ht) * h - (kt + (4.0 * ww_weight) * hh) * t
+    return out
 
 
-def _rk4_step(xe, kr, kt, dt, dynamics):
+def _rk4_step(xe, kr, kt, dt, ww_weight):
     """One classical Runge-Kutta step plus renormalization.
 
     Returns the renormalized state and the pre-normalization norm residual.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _closed_loop_derivative(xe, kr, kt, dynamics)
-        k2 = _closed_loop_derivative(xe + 0.5 * dt * k1, kr, kt, dynamics)
-        k3 = _closed_loop_derivative(xe + 0.5 * dt * k2, kr, kt, dynamics)
-        k4 = _closed_loop_derivative(xe + dt * k3, kr, kt, dynamics)
+        k1 = _closed_loop_derivative(xe, kr, kt, ww_weight)
+        k2 = _closed_loop_derivative(xe + 0.5 * dt * k1, kr, kt, ww_weight)
+        k3 = _closed_loop_derivative(xe + 0.5 * dt * k2, kr, kt, ww_weight)
+        k4 = _closed_loop_derivative(xe + dt * k3, kr, kt, ww_weight)
         out = xe + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = np.linalg.norm(out[..., :4], axis=-1, keepdims=True)
-        residual = np.abs(norm[..., 0] - 1.0)
-        out = np.concatenate([out[..., :4] / norm, out[..., 4:]], axis=-1)
-    return out, residual
+        norm = np.sqrt(np.einsum("bi,bi->b", out[:, :4], out[:, :4]))
+        out[:, :4] /= norm[:, None]
+    return out, np.abs(norm - 1.0)
+
+
+def _start(x0, xd, dt: float, steps: int, dynamics: str):
+    """Validate a run; return its initial error pose and its ww_weight."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    if dynamics not in _WW_WEIGHT:
+        raise ValueError(f"unknown dynamics {dynamics!r}")
+    x0 = aug.as_auq(np.asarray(x0, dtype=float))
+    xd = aug.as_auq(np.asarray(xd, dtype=float))
+    return error_auq(x0, xd), _WW_WEIGHT[dynamics]
+
+
+def _run(xe, kr, kt, dt, steps, ww_weight, on_step):
+    """The RK4 loop shared by integrate and integrate_batch.
+
+    Advances the (B, 7) error rows xe by `steps` steps, calling
+    on_step(i, state, residual) after each; raises StepDiverged at the
+    first step whose state is not finite.
+    """
+    for i in range(1, steps + 1):
+        xe, residual = _rk4_step(xe, kr, kt, dt, ww_weight)
+        if not np.isfinite(xe).all():
+            raise StepDiverged(f"non-finite state at step {i}")
+        on_step(i, xe, residual)
+    return xe
 
 
 def integrate(
@@ -220,44 +262,32 @@ def integrate(
 
     The quaternion part is renormalized after every step and residuals
     recorded; StepDiverged is raised if the state leaves the finite range.
+    The loop keeps only the states; theta, V, we and the branch flag are
+    derived from them afterwards.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    _check_dynamics(dynamics)
-    x0 = aug.as_auq(np.asarray(x0, dtype=float))
-    xd = aug.as_auq(np.asarray(xd, dtype=float))
-    xe = error_auq(x0, xd)
+    xe, ww_weight = _start(x0, xd, dt, steps, dynamics)
+    states = np.empty((steps + 1, 7))
+    renorm = np.zeros(steps + 1)
+    states[0] = xe
 
-    n = steps + 1
-    trace = ControlTrace(
-        time=np.arange(n) * dt,
-        xe=np.zeros((n, 7)),
-        theta=np.zeros((n, 3)),
-        te=np.zeros((n, 3)),
-        V=np.zeros(n),
-        we=np.zeros((n, 3)),
+    def keep(i, state, residual):
+        states[i] = state[0]
+        renorm[i] = residual[0]
+
+    _run(xe.reshape(1, 7), gains.kr, gains.kt, dt, steps, ww_weight, keep)
+    theta = quat.qlog_vec(states[:, :4])
+    te = states[:, 4:].copy()
+    return ControlTrace(
+        time=np.arange(steps + 1) * dt,
+        xe=states,
+        theta=theta,
+        te=te,
+        V=_lyapunov_of(theta, te, weights),
+        we=-2.0 * gains.kr * theta,
         dt=dt,
-        renorm=np.zeros(n),
-        near_branch=np.zeros(n, dtype=bool),
+        renorm=renorm,
+        near_branch=np.linalg.norm(theta, axis=-1) >= np.pi - LOG_BRANCH_MARGIN,
     )
-
-    def record(i, state, residual):
-        theta = quat.qlog_vec(state[:4])
-        trace.xe[i] = state
-        trace.theta[i] = theta
-        trace.te[i] = state[4:]
-        trace.V[i] = weights.alpha * theta @ theta + weights.beta * state[4:] @ state[4:]
-        trace.we[i] = -2.0 * gains.kr * theta
-        trace.renorm[i] = residual
-        trace.near_branch[i] = np.linalg.norm(theta) >= np.pi - LOG_BRANCH_MARGIN
-
-    record(0, xe, 0.0)
-    for i in range(1, n):
-        xe, residual = _rk4_step(xe, gains.kr, gains.kt, dt, dynamics)
-        if not np.all(np.isfinite(xe)):
-            raise StepDiverged(f"non-finite state at step {i}")
-        record(i, xe, float(residual))
-    return trace
 
 
 def integrate_batch(
@@ -275,30 +305,19 @@ def integrate_batch(
     x0, xd have shape (B, 7); kr, kt shape (B, 3).  Much faster than B
     separate integrate calls; used by the decay-bound verification.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    _check_dynamics(dynamics)
-    xe = error_auq(aug.as_auq(np.asarray(x0, dtype=float)), aug.as_auq(np.asarray(xd, dtype=float)))
+    xe, ww_weight = _start(x0, xd, dt, steps, dynamics)
     kr = np.asarray(kr, dtype=float)
     kt = np.asarray(kt, dtype=float)
     if not (np.all(kr > 0.0) and np.all(kt > 0.0)):
         raise ValueError("gain entries must be strictly positive")
 
-    batch = xe.shape[0]
-    V = np.zeros((batch, steps + 1))
-    max_renorm = np.zeros(batch)
+    V = np.zeros((xe.shape[0], steps + 1))
+    max_renorm = np.zeros(xe.shape[0])
+    V[:, 0] = lyapunov(xe, weights)
 
-    def v_of(state):
-        theta = quat.qlog_vec(state[..., :4])
-        return weights.alpha * np.sum(theta * theta, axis=-1) + weights.beta * np.sum(
-            state[..., 4:] ** 2, axis=-1
-        )
-
-    V[:, 0] = v_of(xe)
-    for i in range(1, steps + 1):
-        xe, residual = _rk4_step(xe, kr, kt, dt, dynamics)
-        if not np.all(np.isfinite(xe)):
-            raise StepDiverged(f"non-finite state at step {i}")
+    def keep(i, state, residual):
+        V[:, i] = lyapunov(state, weights)
         np.maximum(max_renorm, residual, out=max_renorm)
-        V[:, i] = v_of(xe)
+
+    xe = _run(xe, kr, kt, dt, steps, ww_weight, keep)
     return EnsembleResult(V=V, xe_final=xe, max_renorm=max_renorm, dt=dt)

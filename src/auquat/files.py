@@ -14,6 +14,8 @@ with '#' are comments; fields may be separated by whitespace or commas.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import __version__
@@ -41,7 +43,8 @@ def _row(values) -> str:
 
 def _write(path, lines) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([_HEADER, *lines]) + "\n")
+        fh.write(_HEADER + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _tokens(path):
@@ -204,10 +207,11 @@ def parse_solution(path) -> dict:
 
 
 def write_trace(path, trace: ControlTrace) -> None:
-    lines = ["time p0 p1 p2 p3 t1 t2 t3 V"]
-    for k in range(len(trace.time)):
-        lines.append(f"{_fmt(trace.time[k])} {_row(trace.xe[k])} {_fmt(trace.V[k])}")
-    _write(path, lines)
+    # "%.17g" formats a float exactly as _fmt does, a whole row per call.
+    row = " ".join(["%.17g"] * 9)
+    table = np.column_stack([trace.time, trace.xe, trace.V])
+    rows = (row % tuple(r) for r in table.tolist())
+    _write(path, itertools.chain(["time p0 p1 p2 p3 t1 t2 t3 V"], rows))
 
 
 def write_probe_report(path, table) -> None:

@@ -162,21 +162,29 @@ def rot_apply(q, t) -> np.ndarray:
 def qlog(q) -> np.ndarray:
     """Logarithm of a unit quaternion [cos th, l sin th] -> [0, th l].
 
-    th = arccos(q0) is taken on the short arc [0, pi]; a degenerate axis
-    (vector part below AXIS_EPS) maps to the zero vector quaternion.
+    th = atan2(|qv|, q0) is taken on the short arc [0, pi]; a degenerate
+    axis (vector part below AXIS_EPS) maps to the zero vector quaternion.
     """
     q = _as_quat(q)
-    theta = np.arccos(np.clip(q[..., :1], -1.0, 1.0))
-    qv = q[..., 1:]
-    vn = np.linalg.norm(qv, axis=-1, keepdims=True)
-    axis = np.where(vn > AXIS_EPS, qv / np.maximum(vn, AXIS_EPS), 0.0)
     zero = np.zeros(q.shape[:-1] + (1,))
-    return np.concatenate([zero, theta * axis], axis=-1)
+    return np.concatenate([zero, _log_vec(q)], axis=-1)
 
 
 def qlog_vec(q) -> np.ndarray:
     """Vector part of qlog(q): the rotation vector th l with th in [0, pi]."""
-    return qlog(q)[..., 1:]
+    return _log_vec(_as_quat(q))
+
+
+def _log_vec(q: np.ndarray) -> np.ndarray:
+    """qlog_vec without input validation, for inner loops.
+
+    atan2 keeps full relative precision near the identity, where
+    arccos(q0) rounds every th below about 1.5e-8 to zero.
+    """
+    qv = q[..., 1:]
+    vn = np.sqrt(np.einsum("...i,...i->...", qv, qv))[..., None]
+    theta = np.arctan2(vn, q[..., :1])
+    return np.where(vn > AXIS_EPS, qv * (theta / np.maximum(vn, AXIS_EPS)), 0.0)
 
 
 def qexp(v) -> np.ndarray:

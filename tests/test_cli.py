@@ -126,6 +126,31 @@ def test_nonconvergence_exit_code_still_writes(tmp_path):
     assert sol["status"] in ("max_iters", "stalled")
 
 
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--dt", "0"],
+        ["--steps", "-1"],
+        ["--kr", "0,1,1"],
+        ["--start", "2,0,0,0,0,0,0"],
+        ["--alpha", "0"],
+    ],
+)
+def test_simulate_invalid_value_exit_code(tmp_path, capsys, option):
+    out = tmp_path / "t.txt"
+    assert main(["simulate", "--steps", "5", *option, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_simulate_divergence_exit_code(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    assert main(["simulate", "--steps", "5", "--dt", "1e300", "-o", str(out)]) == 3
+    assert "non-finite state at step 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_slam_uses_file_initial_guess(tmp_path):
     from auquat.generation import gen_posegraph
 

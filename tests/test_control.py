@@ -288,3 +288,117 @@ def test_integrate_rejects_bad_dt():
 def test_unknown_dynamics_rejected():
     with pytest.raises(ValueError):
         ctl.integrate(_rand_auq(), _rand_auq(), _rand_gains(), 1e-3, 5, dynamics="euler")
+
+
+def test_steps_must_be_non_negative():
+    x0, xd = _rand_auq(), _rand_auq()
+    with pytest.raises(ValueError, match="steps"):
+        ctl.integrate(x0, xd, _rand_gains(), 1e-3, -1)
+    with pytest.raises(ValueError, match="steps"):
+        ctl.integrate_batch(x0[None], xd[None], np.ones((1, 3)), np.ones((1, 3)), 1e-3, -1)
+    trace = ctl.integrate(x0, xd, _rand_gains(), 1e-3, 0)
+    assert trace.xe.shape == (1, 7)
+    np.testing.assert_allclose(trace.xe[0], ctl.error_auq(x0, xd), atol=ALGEBRA_ATOL)
+
+
+def test_rotation_decays_below_arccos_resolution():
+    # theta(T) = theta0 exp(-Kr T) = 1e-3 exp(-20) ~ 2.06e-12; a log taken
+    # as arccos(q0) reads 0 once theta < ~1.5e-8 and rotation stops there
+    theta0, kr, dt, steps = 1e-3, 2.0, 1e-3, 10_000
+    xd = np.array([np.cos(theta0), np.sin(theta0), 0.0, 0.0, 0.1, 0.0, 0.0])
+    gains = ctl.Gains(kr * np.ones(3), np.ones(3))
+    trace = ctl.integrate(aug.IDENTITY, xd, gains, dt, steps)
+    exact = theta0 * np.exp(-kr * dt * steps)
+    assert np.linalg.norm(trace.xe[-1, 1:4]) <= 2.0 * exact
+    np.testing.assert_allclose(np.linalg.norm(trace.theta[-1]), exact, rtol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the RK4 kernel against its definitions
+
+
+def _kernel_states(rng):
+    xe = _rand_auq(200, rng)
+    xe[0, :4] = qt.IDENTITY  # theta = 0
+    xe[1, :4] = [np.cos(np.pi - 1e-7), np.sin(np.pi - 1e-7), 0.0, 0.0]  # theta near pi
+    xe[2, :4] = [-np.cos(1e-3), 0.0, np.sin(1e-3), 0.0]
+    return xe, rng.uniform(0.2, 2.0, (200, 3)), rng.uniform(0.2, 2.0, (200, 3))
+
+
+def _assert_matches(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(1.0, np.abs(want).max()))
+
+
+def test_kernel_derivative_matches_group_ode():
+    xe, kr, kt = _kernel_states(np.random.default_rng(11))
+    got = ctl._closed_loop_derivative(xe, kr, kt, ctl._WW_WEIGHT[ctl.DYNAMICS_TWIST])
+    for b in range(len(xe)):
+        xi = ctl.proportional_control(xe[b], ctl.Gains(kr[b], kt[b]))
+        _assert_matches(got[b], ctl.state_derivative(xe[b], xi))
+
+
+def test_kernel_derivative_matches_exponential_closed_form():
+    xe, kr, kt = _kernel_states(np.random.default_rng(12))
+    got = ctl._closed_loop_derivative(xe, kr, kt, ctl._WW_WEIGHT[ctl.DYNAMICS_EXPONENTIAL])
+    p, t = xe[:, :4], xe[:, 4:]
+    w = -2.0 * kr * qt.qlog_vec(p)
+    wt = np.sum(w * t, axis=-1, keepdims=True)
+    ww = np.sum(w * w, axis=-1, keepdims=True)
+    _assert_matches(got[:, :4], 0.5 * qt.qmul(p, qt.vector_quat(w)))
+    _assert_matches(got[:, 4:], -kt * t + wt * w - ww * t)
+
+
+def test_trace_columns_match_per_row_definitions():
+    # start 5e-3 inside the log branch margin so near_branch flips early
+    pe = np.array([-np.cos(5e-3), np.sin(5e-3), 0.0, 0.0])
+    gains = ctl.Gains([1.0, 0.5, 2.0], [0.3, 1.0, 1.5])
+    weights = ctl.LyapunovWeights(alpha=2.0, beta=0.5)
+    trace = ctl.integrate(aug.IDENTITY, aug.aq(pe, [0.2, -0.1, 0.3]), gains, 1e-3, 300, weights)
+    assert trace.near_branch.any() and not trace.near_branch.all()
+    for k in range(trace.steps + 1):
+        theta = qt.qlog_vec(trace.xe[k, :4])
+        np.testing.assert_allclose(trace.theta[k], theta, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(trace.we[k], -2.0 * gains.kr * theta, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(trace.te[k], trace.xe[k, 4:])
+        np.testing.assert_allclose(trace.V[k], ctl.lyapunov(trace.xe[k], weights), rtol=1e-15)
+        assert trace.near_branch[k] == (
+            np.linalg.norm(theta) >= np.pi - ctl.LOG_BRANCH_MARGIN
+        )
+
+
+def _per_step_integrate(x0, xd, gains, dt, steps, dynamics):
+    # reference: the integrator before the shared kernel, recording each
+    # step through compose/qmul and the per-step record
+    def derivative(xe):
+        p, t = xe[:4], xe[4:]
+        w = -2.0 * gains.kr * qt.qlog_vec(p)
+        if dynamics == ctl.DYNAMICS_TWIST:
+            return 0.5 * aug.compose(xe, aug.avq(w, -2.0 * gains.kt * t))
+        p_dot = 0.5 * qt.qmul(p, qt.vector_quat(w))
+        t_dot = -gains.kt * t + (w @ t) * w - (w @ w) * t
+        return np.concatenate([p_dot, t_dot])
+
+    xe = ctl.error_auq(aug.as_auq(x0), aug.as_auq(xd))
+    xes, renorm = [xe], [0.0]
+    for _ in range(steps):
+        k1 = derivative(xe)
+        k2 = derivative(xe + 0.5 * dt * k1)
+        k3 = derivative(xe + 0.5 * dt * k2)
+        k4 = derivative(xe + dt * k3)
+        out = xe + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        norm = np.linalg.norm(out[:4])
+        xe = np.concatenate([out[:4] / norm, out[4:]])
+        xes.append(xe)
+        renorm.append(abs(norm - 1.0))
+    return np.array(xes), np.array(renorm)
+
+
+@pytest.mark.parametrize("dynamics", [ctl.DYNAMICS_EXPONENTIAL, ctl.DYNAMICS_TWIST])
+def test_kernel_matches_per_step_integrator(dynamics):
+    rng = np.random.default_rng(21)
+    x0, xd = _rand_auq(rng=rng), _rand_auq(rng=rng)
+    gains = _rand_gains(rng)
+    trace = ctl.integrate(x0, xd, gains, 1e-3, 2000, dynamics=dynamics)
+    xes, renorm = _per_step_integrate(x0, xd, gains, 1e-3, 2000, dynamics)
+    np.testing.assert_allclose(trace.xe, xes, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(trace.renorm, renorm, rtol=0, atol=1e-14)

@@ -126,6 +126,34 @@ def test_trace_export_shape(tmp_path):
     np.testing.assert_allclose([float(v) for v in row[1:8]], trace.xe[0], atol=0)
 
 
+
+def _per_value_trace_text(trace):
+    # reference: the one-_fmt-call-per-value form write_trace used to take
+    def fmt(value):
+        return f"{value:.17g}"
+
+    def row(values):
+        return " ".join(fmt(v) for v in np.asarray(values, dtype=float))
+
+    lines = [files._HEADER, "time p0 p1 p2 p3 t1 t2 t3 V"]
+    for k in range(len(trace.time)):
+        lines.append(f"{fmt(trace.time[k])} {row(trace.xe[k])} {fmt(trace.V[k])}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_rows_match_per_value_format(tmp_path):
+    trace = integrate(random_auq(3), random_auq(4), Gains(np.ones(3), np.ones(3)), 1e-3, 50)
+    trace.xe[1] = [-0.0, 1e-300, 1.0 / 3.0, -2.0 / 3.0, np.pi, -np.e, 5e-324]
+    trace.xe[2] = [0.1 + 0.2, 1.7976931348623157e308, -1e-300, 123456789012345678.0, 0, 1, -1]
+    trace.time[3] = -0.0
+    trace.V[4] = 2.0**-1074
+    trace.V[5] = 9007199254740993.0
+    path = tmp_path / "trace.txt"
+    files.write_trace(path, trace)
+    with open(path, "rb") as fh:
+        assert fh.read() == _per_value_trace_text(trace).encode()
+
+
 def test_seventeen_digit_roundtrip(tmp_path):
     value = 1.0 / 3.0
     x = np.array([value, np.sqrt(1 - value**2), 0.0, 0.0, np.pi, -np.e, 1e-17])

@@ -241,6 +241,13 @@ def test_qlog_degenerate_axis_is_zero():
     np.testing.assert_array_equal(qt.qlog([-1.0, 0.0, 0.0, 0.0]), np.zeros(4))
 
 
+@pytest.mark.parametrize("angle", [1e-6, 1e-9, 1e-11])
+def test_qlog_keeps_relative_precision_near_identity(angle):
+    # arccos(q0) loses half the digits here and returns 0 below ~1.5e-8
+    v = angle * np.array([0.6, 0.0, -0.8])
+    np.testing.assert_allclose(qt.qlog_vec(qt.qexp(v)), v, rtol=1e-13, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # random sampling
 
