@@ -1,10 +1,13 @@
 """Batch command-line interface.
 
 Subcommands: gen, calibrate, calibrate-world, slam, simulate, probe.
-All outputs are deterministic for a fixed seed.  Exit codes: 0 success,
-1 I/O failure, 2 malformed input file or invalid option value, 3 solver
-did not converge (the solution file is still written) or simulation
-diverged (no trace is written).
+All outputs are deterministic for a fixed seed.  calibrate,
+calibrate-world and slam run up to --restarts tangent-space
+Gauss-Newton loops of at most --max-iters iterations each; there is no
+separate gradient-descent phase, so the former --no-gn flag is gone.
+Exit codes: 0 success, 1 I/O failure, 2 malformed input file or invalid
+option value, 3 solver did not converge (the solution file is still
+written) or simulation diverged (no trace is written).
 """
 
 from __future__ import annotations
@@ -77,9 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=10)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-iters", type=int, default=10_000)
+        p.add_argument("--max-iters", type=int, default=60,
+                       help="Gauss-Newton iterations per restart")
         p.add_argument("--target-objective", type=float, default=1e-18)
-        p.add_argument("--no-gn", action="store_true", help="skip the Gauss-Newton refinement")
 
     p = sub.add_parser("simulate", help="integrate the closed-loop pose error")
     p.add_argument("--start", type=_csv_floats(7), default=None, help="start pose, 7 values")
@@ -130,7 +133,6 @@ def _run_solve(args, world: bool, posegraph: bool) -> int:
         grad_tol=args.tol,
         restarts=args.restarts,
         seed=args.seed,
-        gn_refine=not args.no_gn,
         target_objective=args.target_objective,
     )
     init = problem.initial if posegraph and getattr(problem, "initial", None) is not None else None

@@ -9,17 +9,17 @@ ambient 7-vector difference of two composed poses:
 
 and the objective is (1/2) sum |z|_sigma^2 with the sigma-weighted
 magnitude (translation components weighted by sigma).  The feasible set
-is a product of unit 3-spheres (one per pose block) times R^3 factors,
-so the solver is a Riemannian gradient descent: ambient gradient,
-tangent projection per quaternion block, Armijo backtracking, and
-renormalization as the retraction.  An optional Gauss-Newton refinement
-on the tangent space (default on) polishes to machine precision on
-zero-residual instances.  Each Gauss-Newton step solves the normal
-equations, summed from the 6x6 tangent blocks of every residual; only
-when they are singular does it take the minimum-norm least-squares
-step instead.  For pose graphs the objective is invariant
-under a global left translation, so one anchor vertex is pinned to the
-identity.
+is a product of unit 3-spheres (one per pose block) times R^3 factors.
+Each restart is one Gauss-Newton loop on its tangent spaces: the step
+solves the normal equations, summed from the 6x6 tangent blocks of every
+residual (the minimum-norm least-squares step is taken only when they
+are singular), is halved until the objective falls, and is retracted by
+renormalizing every quaternion block.  Restart 0 starts from the
+identity (a spanning-tree chaining of the measurements for pose graphs),
+later restarts from random feasible points.  For pose graphs the
+objective is invariant under a left translation of each weakly connected
+component, so the anchor vertex, and the lowest vertex of every other
+component that has an edge, is pinned to the identity.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ class PoseGraphProblem:
 
     Vertex `anchor` is held at the identity during solves (gauge fixing).
     A weakly disconnected graph is not identifiable; it is accepted with
-    a warning.
+    a warning, and the lowest vertex of every other component that has an
+    edge is held at the identity too.  `gauge` lists the held vertices.
     """
 
     n: int
@@ -130,27 +131,40 @@ class PoseGraphProblem:
             self.initial = _unit_blocks(self.initial, "initial")
             if len(self.initial) != self.n:
                 raise ValueError("initial guess must cover every vertex")
+        self._labels = _component_labels(self.n, self.edges)
+        roots = np.unique(self._labels[self.edges.ravel()])
+        roots = roots[roots != self._labels[self.anchor]]
+        self.gauge = np.sort(np.append(roots, self.anchor))
         if not self._weakly_connected():
             warnings.warn("pose graph is not weakly connected; solution is not unique",
                           stacklevel=2)
 
     def _weakly_connected(self) -> bool:
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {self.anchor}
-        queue = deque([self.anchor])
-        while queue:
-            for k in adj[queue.popleft()]:
-                if k not in seen:
-                    seen.add(k)
-                    queue.append(k)
-        return len(seen) == self.n
+        return bool(np.all(self._labels == self._labels[0]))
 
     @property
     def n_blocks(self) -> int:
         return self.n
+
+
+def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Lowest vertex of the weakly connected component of every vertex."""
+    adj = [[] for _ in range(n)]
+    for i, j in edges.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    labels = np.full(n, -1)
+    for root in range(n):
+        if labels[root] >= 0:
+            continue
+        labels[root] = root
+        queue = deque([root])
+        while queue:
+            for k in adj[queue.popleft()]:
+                if labels[k] < 0:
+                    labels[k] = root
+                    queue.append(k)
+    return labels
 
 
 Problem = HandEyeProblem | HandEyeWorldProblem | PoseGraphProblem
@@ -353,30 +367,22 @@ def _block_jacobians(problem: Problem, x) -> list[tuple[np.ndarray, np.ndarray, 
 
 @dataclass
 class SolverConfig:
-    """Stopping rules, line-search policy, and restart strategy.
+    """Stopping rules and restart strategy.
 
-    The retraction is fixed: quaternion blocks are renormalized after
-    every ambient update.
+    Each restart runs at most max_iters tangent-space Gauss-Newton
+    iterations.  The retraction is fixed: quaternion blocks are
+    renormalized after every ambient update.
     """
 
-    max_iters: int = 10_000
+    max_iters: int = 60
     grad_tol: float = 1e-10
-    step_init: float = 1.0
-    step_max: float = 8.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    min_step: float = 1e-16
     restarts: int = 10
     seed: int = 0
-    gn_refine: bool = True
-    gn_max_iters: int = 60
     target_objective: float = 1e-18
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.min_step <= 0 or self.step_init <= 0:
-            raise ValueError("tolerances and step sizes must be positive")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack factor must lie in (0, 1)")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass
@@ -410,18 +416,18 @@ def _sphere_basis(p) -> np.ndarray:
 def _free_blocks(problem: Problem) -> np.ndarray:
     free = np.arange(problem.n_blocks)
     if isinstance(problem, PoseGraphProblem):
-        free = free[free != problem.anchor]
+        free = np.setdiff1d(free, problem.gauge)
     return free
 
 
 def _project_gradient(problem: Problem, x, grad_blocks) -> np.ndarray:
-    """Tangent projection per quaternion block; anchor block zeroed."""
+    """Tangent projection per quaternion block; gauge blocks zeroed."""
     out = grad_blocks.copy()
     p = x[:, :4]
     radial = np.sum(out[:, :4] * p, axis=-1, keepdims=True)
     out[:, :4] -= radial * p
     if isinstance(problem, PoseGraphProblem):
-        out[problem.anchor] = 0.0
+        out[problem.gauge] = 0.0
     return out
 
 
@@ -429,7 +435,7 @@ def _retract(problem: Problem, x) -> np.ndarray:
     out = x.copy()
     out[:, :4] /= np.linalg.norm(out[:, :4], axis=-1, keepdims=True)
     if isinstance(problem, PoseGraphProblem):
-        out[problem.anchor] = aug.IDENTITY
+        out[problem.gauge] = aug.IDENTITY
     return out
 
 
@@ -443,19 +449,19 @@ def _random_init(problem: Problem, rng) -> np.ndarray:
     n = problem.n_blocks
     x = np.concatenate([quat.random_unit(rng, n), rng.uniform(-1.0, 1.0, (n, 3))], axis=-1)
     if isinstance(problem, PoseGraphProblem):
-        x[problem.anchor] = aug.IDENTITY
+        x[problem.gauge] = aug.IDENTITY
     return x
 
 
 def _spanning_tree_init(problem: PoseGraphProblem) -> np.ndarray:
-    """Chain poses along a BFS tree of measurements from the anchor."""
+    """Chain poses along BFS trees of measurements from the gauge vertices."""
     x = np.tile(aug.identity(), (problem.n, 1))
     adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(problem.n)]
     for k, (i, j) in enumerate(problem.edges):
         adj[i].append((j, k, True))
         adj[j].append((i, k, False))
-    seen = {problem.anchor}
-    queue = deque([problem.anchor])
+    seen = set(problem.gauge.tolist())
+    queue = deque(problem.gauge.tolist())
     while queue:
         i = queue.popleft()
         for j, k, forward in adj[i]:
@@ -480,55 +486,6 @@ def _check_init(problem: Problem, init) -> np.ndarray:
     return _retract(problem, init)
 
 
-def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
-    """Projected gradient descent with Armijo backtracking, then optional
-    Gauss-Newton refinement.  x must be feasible."""
-    f = objective(problem, x)
-    if not np.isfinite(f):
-        raise NonFiniteObjective("objective is not finite at the initial point")
-    step = cfg.step_init
-    iterations = 0
-    status = STATUS_MAX_ITERS
-    stall = 0
-    # with refinement enabled the descent only needs to reach a basin;
-    # Gauss-Newton does the last mile far more cheaply
-    descent_budget = min(cfg.max_iters, 300) if cfg.gn_refine else cfg.max_iters
-    for _ in range(descent_budget):
-        g = _project_gradient(problem, x, gradient(problem, x).reshape(-1, 7))
-        g_norm = float(np.linalg.norm(g))
-        if g_norm <= cfg.grad_tol:
-            status = STATUS_CONVERGED
-            break
-        alpha = min(2.0 * step, cfg.step_max)
-        accepted = False
-        while alpha >= cfg.min_step:
-            x_new = _retract(problem, x - alpha * g)
-            f_new = objective(problem, x_new)
-            if np.isfinite(f_new) and f_new <= f - cfg.armijo * alpha * g_norm * g_norm:
-                accepted = True
-                break
-            alpha *= cfg.backtrack
-        if not accepted:
-            status = STATUS_STALLED
-            break
-        stall = stall + 1 if f - f_new <= 1e-12 * max(f, 1e-300) else 0
-        x, f, step = x_new, f_new, alpha
-        iterations += 1
-        if stall >= 5:
-            status = STATUS_STALLED
-            break
-
-    if cfg.gn_refine:
-        x, f, gn_iters = _gauss_newton(problem, x, f, cfg)
-        iterations += gn_iters
-
-    g = _project_gradient(problem, x, gradient(problem, x).reshape(-1, 7))
-    g_norm = float(np.linalg.norm(g))
-    if g_norm <= cfg.grad_tol:
-        status = STATUS_CONVERGED
-    return RestartRecord(x, f, g_norm, iterations, status)
-
-
 def _gauss_newton_step(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarray]:
     """Tangent Gauss-Newton step of the free blocks: (delta (k, 6), bases (k, 4, 3)).
 
@@ -543,7 +500,7 @@ def _gauss_newton_step(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarra
     sqrt_w = np.sqrt(_component_weights(problem))
     z = residuals(problem, x) * sqrt_w
     # per block list: tangent Jacobian and free column of every residual row;
-    # a row the list does not reach, or reaches only at the anchor, keeps a
+    # a row the list does not reach, or reaches only at a gauge vertex, keeps a
     # zero Jacobian, so the column 0 it points at receives nothing
     terms = []
     for block_idx, rows, jblocks in _block_jacobians(problem, x):
@@ -556,13 +513,14 @@ def _gauss_newton_step(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarra
         cols = np.zeros(len(z), dtype=int)
         cols[r] = c
         terms.append((jt, cols))
-    hess = np.zeros((k, k, 6, 6))
+    # laid out (k, 6, k, 6) so that the 6k x 6k matrix is a view, not a copy
+    hess = np.zeros((k, 6, k, 6))
     grad = np.zeros((k, 6))
     for jt_s, c_s in terms:
         np.add.at(grad, c_s, np.einsum("mia,mi->ma", jt_s, z))
         for jt_t, c_t in terms:
-            np.add.at(hess, (c_s, c_t), np.swapaxes(jt_s, 1, 2) @ jt_t)
-    hess = hess.transpose(0, 2, 1, 3).reshape(6 * k, 6 * k)
+            np.add.at(hess, (c_s, slice(None), c_t), np.swapaxes(jt_s, 1, 2) @ jt_t)
+    hess = hess.reshape(6 * k, 6 * k)
     try:
         delta = np.linalg.solve(hess, -grad.ravel())
     except np.linalg.LinAlgError:
@@ -570,11 +528,21 @@ def _gauss_newton_step(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarra
     return delta.reshape(k, 6), bases
 
 
-def _gauss_newton(problem: Problem, x, f, cfg: SolverConfig):
-    """Tangent-space Gauss-Newton with step halving; returns (x, f, iters)."""
+def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
+    """Tangent-space Gauss-Newton with step halving from a feasible x.
+
+    A step is accepted once the objective strictly falls.  The loop ends
+    when the cap is spent, no halved step lowers the objective, or the
+    relative decrease drops to rounding level; the status then comes
+    from the projected gradient norm.
+    """
+    f = objective(problem, x)
+    if not np.isfinite(f):
+        raise NonFiniteObjective("objective is not finite at the initial point")
     free = _free_blocks(problem)
     iterations = 0
-    for _ in range(cfg.gn_max_iters):
+    status = STATUS_STALLED
+    for _ in range(cfg.max_iters):
         delta, bases = _gauss_newton_step(problem, x, free)
         if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) <= 1e-16 * (1.0 + np.linalg.norm(x)):
             break
@@ -582,22 +550,27 @@ def _gauss_newton(problem: Problem, x, f, cfg: SolverConfig):
         step[free, :4] = np.einsum("kij,kj->ki", bases, delta[:, :3])
         step[free, 4:] = delta[:, 3:]
         alpha = 1.0
-        accepted = False
         while alpha >= 2.0 ** -24:
             x_new = _retract(problem, x + alpha * step)
             f_new = objective(problem, x_new)
             if np.isfinite(f_new) and f_new < f:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:  # no halved step lowers the objective
             break
         improvement = f - f_new
         x, f = x_new, f_new
         iterations += 1
         if f <= 1e-30 or improvement <= 1e-15 * max(f, 1e-300):
             break
-    return x, f, iterations
+    else:  # the cap was spent
+        status = STATUS_MAX_ITERS
+
+    g = _project_gradient(problem, x, gradient(problem, x).reshape(-1, 7))
+    g_norm = float(np.linalg.norm(g))
+    if g_norm <= cfg.grad_tol:
+        status = STATUS_CONVERGED
+    return RestartRecord(x, f, g_norm, iterations, status)
 
 
 def solve(problem: Problem, config: SolverConfig | None = None, init=None) -> SolveResult:

@@ -114,11 +114,11 @@ def test_nonconvergence_exit_code_still_writes(tmp_path):
         ]
     )
     solution = tmp_path / "s.txt"
-    # starved solver: no refinement, two iterations, impossible tolerance
+    # starved solver: two iterations, impossible tolerance
     code = main(
         [
             "calibrate", str(problem), "-o", str(solution),
-            "--no-gn", "--max-iters", "2", "--restarts", "1", "--tol", "1e-30",
+            "--max-iters", "2", "--restarts", "1", "--tol", "1e-30",
         ]
     )
     assert code == 3

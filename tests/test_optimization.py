@@ -7,7 +7,7 @@ from auquat import augmented as aug
 from auquat import quaternion as qt
 from auquat import optimization as opt
 from auquat.errors import InfeasibleInit
-from auquat.generation import gen_handeye, gen_handeye_world, gen_posegraph
+from auquat.generation import NoiseModel, gen_handeye, gen_handeye_world, gen_posegraph
 from auquat.tolerances import ALGEBRA_ATOL
 
 RNG = np.random.default_rng(31415)
@@ -175,7 +175,7 @@ def test_pose_error_cases():
 
 def test_solver_descent_without_refinement():
     problem, _ = gen_handeye(m=5, seed=10)
-    cfg = opt.SolverConfig(gn_refine=False, max_iters=150, restarts=1, seed=0)
+    cfg = opt.SolverConfig(max_iters=150, restarts=1, seed=0)
     x0 = opt._random_init(problem, np.random.default_rng(0))
     f0 = opt.objective(problem, x0)
     record = opt._descend(problem, x0, cfg)
@@ -186,16 +186,27 @@ def test_solver_descent_without_refinement():
 
 def test_solver_trace_is_monotone():
     problem, _ = gen_handeye(m=5, seed=11)
-    cfg = opt.SolverConfig(gn_refine=False, max_iters=100, restarts=1)
+    cfg = opt.SolverConfig(max_iters=100, restarts=1)
     x = opt._random_init(problem, np.random.default_rng(1))
     values = [opt.objective(problem, x)]
     for _ in range(30):
-        record = opt._descend(
-            problem, x, opt.SolverConfig(gn_refine=False, max_iters=1, restarts=1)
-        )
+        record = opt._descend(problem, x, opt.SolverConfig(max_iters=1, restarts=1))
         x = record.solution
         values.append(record.objective)
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+
+def test_noisy_handeye_runs_gauss_newton_from_the_first_iteration(monkeypatch):
+    """The gradient is taken once per restart, for the final stopping test,
+    and the restarts together need few iterations."""
+    problem, _ = gen_handeye(m=20, seed=7, noise=NoiseModel(0.01, 0.01, 7))
+    calls = []
+    gradient = opt.gradient
+    monkeypatch.setattr(opt, "gradient", lambda *a: calls.append(1) or gradient(*a))
+    result = opt.solve(problem, opt.SolverConfig(seed=0))
+    assert len(result.restarts) == 10
+    assert len(calls) == len(result.restarts)
+    assert sum(r.iterations for r in result.restarts) <= 150
 
 
 def test_recover_handeye():
@@ -353,3 +364,21 @@ def test_solve_weakly_disconnected_graph(n, monkeypatch):
     assert result.objective <= 1e-16
     assert result.status == opt.STATUS_CONVERGED
     assert bool(calls) == (n == 7)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_component_is_gauge_fixed(seed):
+    """Two 3-cycles: the anchor and vertex 3, the lowest vertex of the other
+    component, are both held at the identity, so Gauss-Newton from the
+    identity sees a nonsingular H and converges in a few iterations."""
+    truth = _rand_auq(6, rng=np.random.default_rng(seed))
+    edges = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]])
+    y = aug.compose(aug.auq_inverse(truth[edges[:, 0]]), truth[edges[:, 1]])
+    with pytest.warns(UserWarning):
+        problem = opt.PoseGraphProblem(n=6, edges=edges, measurements=y)
+    np.testing.assert_array_equal(problem.gauge, [0, 3])
+    assert opt.objective(problem, opt._spanning_tree_init(problem)) <= 1e-28
+    result = opt.solve(problem, opt.SolverConfig(restarts=1), init=np.tile(aug.IDENTITY, (6, 1)))
+    assert result.status == opt.STATUS_CONVERGED
+    assert result.iterations <= 20
+    np.testing.assert_array_equal(result.solution[[0, 3]], np.tile(aug.IDENTITY, (2, 1)))
