@@ -10,16 +10,22 @@ ambient 7-vector difference of two composed poses:
 and the objective is (1/2) sum |z|_sigma^2 with the sigma-weighted
 magnitude (translation components weighted by sigma).  The feasible set
 is a product of unit 3-spheres (one per pose block) times R^3 factors.
-Each restart is one Gauss-Newton loop on its tangent spaces: the step
-solves the normal equations, summed from the 6x6 tangent blocks of every
-residual (the minimum-norm least-squares step is taken only when they
-are singular), is halved until the objective falls, and is retracted by
-renormalizing every quaternion block.  Restart 0 starts from the
-identity (a spanning-tree chaining of the measurements for pose graphs),
-later restarts from random feasible points.  For pose graphs the
-objective is invariant under a left translation of each weakly connected
-component, so the anchor vertex, and the lowest vertex of every other
-component that has an edge, is pinned to the identity.
+
+Each problem class is its own kernel, which the solver reads only
+through `residuals(x)`, the (m, 7) residuals at the (n, 7) pose blocks
+x; `linearize(x)`, the residuals z, the (m, s) blocks `cols` each one
+depends on and the (m, s, 7, 7) ambient Jacobians dz/dx[cols] (s = 1
+for hand-eye, 2 otherwise); `gauge`, the blocks held at the identity;
+and `initial_guess()` (identity blocks, or a spanning-tree chaining of
+the measurements for pose graphs).  The gradient J^T W z and the
+Gauss-Newton step both read `linearize`.  Each restart is one
+Gauss-Newton loop on the tangent spaces: the step solves the normal
+equations, summed from the 6x6 tangent blocks of every residual (the
+minimum-norm least-squares step is taken only when they are singular),
+is halved until the objective falls, and is retracted by renormalizing
+every quaternion block.  A pose graph's objective is invariant under a
+left translation of each weakly connected component, so its gauge is
+the anchor and the lowest vertex of every other component with an edge.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from .tolerances import UNIT_NORMALIZE_TOL
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_STALLED = "stalled"
+
+SAME_OBJECTIVE_RTOL = 1e-12  # restart objectives this close reached the same minimum
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +72,7 @@ class HandEyeProblem:
     a: np.ndarray
     b: np.ndarray
     sigma: float = 1.0
+    gauge = np.zeros(0, dtype=int)  # no held blocks
 
     def __post_init__(self):
         self.a = _unit_blocks(self.a, "a")
@@ -83,6 +92,16 @@ class HandEyeProblem:
     def pair_count(self) -> int:
         return len(self.a)
 
+    def residuals(self, x) -> np.ndarray:
+        return residual_handeye(x[0], self.a, self.b)
+
+    def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        jac = _compose_jac_right(self.a, x[0]) - _compose_jac_left(self.b, like=x[0])
+        return self.residuals(x), np.zeros((self.pair_count, 1), dtype=int), jac[:, None]
+
+    def initial_guess(self) -> np.ndarray:
+        return np.tile(aug.identity(), (self.n_blocks, 1))
+
 
 @dataclass
 class HandEyeWorldProblem(HandEyeProblem):
@@ -91,6 +110,15 @@ class HandEyeWorldProblem(HandEyeProblem):
     @property
     def n_blocks(self) -> int:
         return 2
+
+    def residuals(self, x) -> np.ndarray:
+        return residual_handeye_world(x[0], x[1], self.a, self.b)
+
+    def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        jac = np.empty((self.pair_count, 2, 7, 7))
+        jac[:, 0] = _compose_jac_right(self.a, x[0])
+        jac[:, 1] = -_compose_jac_left(self.b, like=x[1])
+        return self.residuals(x), np.tile([0, 1], (self.pair_count, 1)), jac
 
 
 @dataclass
@@ -145,6 +173,36 @@ class PoseGraphProblem:
     @property
     def n_blocks(self) -> int:
         return self.n
+
+    def residuals(self, x) -> np.ndarray:
+        return residual_slam(x[self.edges[:, 0]], x[self.edges[:, 1]], self.measurements)
+
+    def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        xi, xj = x[self.edges[:, 0]], x[self.edges[:, 1]]
+        jac = np.empty((len(self.edges), 2, 7, 7))
+        jac[:, 0] = _compose_jac_left(xj, like=xj) @ _auq_inverse_jac(xi)
+        jac[:, 1] = _compose_jac_right(aug.auq_inverse(xi), xj)
+        return self.residuals(x), self.edges, jac
+
+    def initial_guess(self) -> np.ndarray:
+        """Chain poses along BFS trees of measurements from the gauge vertices."""
+        x = np.tile(aug.identity(), (self.n, 1))
+        adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.n)]
+        for k, (i, j) in enumerate(self.edges):
+            adj[i].append((j, k, True))
+            adj[j].append((i, k, False))
+        seen = set(self.gauge.tolist())
+        queue = deque(self.gauge.tolist())
+        while queue:
+            i = queue.popleft()
+            for j, k, forward in adj[i]:
+                if j in seen:
+                    continue
+                y = self.measurements[k]
+                x[j] = aug.compose(x[i], y if forward else aug.auq_inverse(y))
+                seen.add(j)
+                queue.append(j)
+        return x
 
 
 def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
@@ -205,14 +263,7 @@ def _as_blocks(problem: Problem, x) -> np.ndarray:
 
 def residuals(problem: Problem, x) -> np.ndarray:
     """Stacked residual block matrix of shape (m, 7)."""
-    x = _as_blocks(problem, x)
-    if isinstance(problem, HandEyeWorldProblem):
-        return residual_handeye_world(x[0], x[1], problem.a, problem.b)
-    if isinstance(problem, HandEyeProblem):
-        return residual_handeye(x[0], problem.a, problem.b)
-    xi = x[problem.edges[:, 0]]
-    xj = x[problem.edges[:, 1]]
-    return residual_slam(xi, xj, problem.measurements)
+    return problem.residuals(_as_blocks(problem, x))
 
 
 def _component_weights(problem: Problem) -> np.ndarray:
@@ -228,22 +279,9 @@ def objective(problem: Problem, x) -> float:
 
 def gradient(problem: Problem, x) -> np.ndarray:
     """Ambient gradient of the objective, flattened to length 7 n."""
-    x = _as_blocks(problem, x)
-    z = residuals(problem, x)
-    wz = z * _component_weights(problem)
-    if isinstance(problem, HandEyeWorldProblem):
-        jx = _compose_jac_right(problem.a, x[0])
-        jy = -_compose_jac_left(problem.b, like=x[1])
-        gx = np.einsum("mij,mi->j", jx, wz)
-        gy = np.einsum("mij,mi->j", jy, wz)
-        return np.concatenate([gx, gy])
-    if isinstance(problem, HandEyeProblem):
-        jx = _compose_jac_right(problem.a, x[0]) - _compose_jac_left(problem.b, like=x[0])
-        return np.einsum("mij,mi->j", jx, wz)
-    ji, jj = _slam_edge_jacobians(problem, x)
-    grad = np.zeros((problem.n, 7))
-    np.add.at(grad, problem.edges[:, 0], np.einsum("mij,mi->mj", ji, wz))
-    np.add.at(grad, problem.edges[:, 1], np.einsum("mij,mi->mj", jj, wz))
+    z, cols, jac = problem.linearize(_as_blocks(problem, x))
+    grad = np.zeros((problem.n_blocks, 7))
+    np.add.at(grad, cols, np.einsum("msij,mi->msj", jac, z * _component_weights(problem)))
     return grad.ravel()
 
 
@@ -266,20 +304,7 @@ def pose_error(x, x_true) -> tuple[np.ndarray | float, np.ndarray | float]:
 # ---------------------------------------------------------------------------
 # jacobian blocks (ambient, 7x7 per residual)
 
-
-def _d_rot_T_dq(q, t) -> np.ndarray:
-    """Derivative of R(q)^T t with respect to q, shape (..., 3, 4)."""
-    q0, qv = q[..., 0:1], q[..., 1:]
-    col0 = 2.0 * q0 * t - 2.0 * np.cross(qv, t)
-    dot = np.sum(qv * t, axis=-1)[..., None, None]
-    eye = np.eye(3)
-    cols = (
-        2.0 * qv[..., :, None] * t[..., None, :]
-        + 2.0 * dot * eye
-        - 2.0 * t[..., :, None] * qv[..., None, :]
-        - 2.0 * q0[..., None] * quat.cross_matrix(t)
-    )
-    return np.concatenate([col0[..., :, None], cols], axis=-1)
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # quaternion conjugation
 
 
 def _d_rot_dq(p, t) -> np.ndarray:
@@ -314,9 +339,10 @@ def _compose_jac_right(x, y) -> np.ndarray:
     batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
     out = np.zeros(batch + (7, 7))
     out[..., :4, :4] = quat.left_matrix(x[..., :4])
-    out[..., 4:, :4] = _d_rot_T_dq(
-        np.broadcast_to(y[..., :4], batch + (4,)), np.broadcast_to(x[..., 4:], batch + (3,))
-    )
+    # R(q)^T t = R(q*) t, and dq*/dq = diag(_CONJ)
+    out[..., 4:, :4] = _d_rot_dq(
+        np.broadcast_to(y[..., :4] * _CONJ, batch + (4,)), np.broadcast_to(x[..., 4:], batch + (3,))
+    ) * _CONJ
     out[..., 4:, 4:] = np.eye(3)
     return out
 
@@ -326,39 +352,10 @@ def _auq_inverse_jac(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     p, t = x[..., :4], x[..., 4:]
     out = np.zeros(x.shape[:-1] + (7, 7))
-    out[..., :4, :4] = np.diag([1.0, -1.0, -1.0, -1.0])
+    out[..., :4, :4] = np.diag(_CONJ)
     out[..., 4:, :4] = -_d_rot_dq(p, t)
     out[..., 4:, 4:] = -quat.rot_matrix(p)
     return out
-
-
-def _slam_edge_jacobians(problem: PoseGraphProblem, x) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge ambient Jacobians of the residual wrt x_i and x_j."""
-    xi = x[problem.edges[:, 0]]
-    xj = x[problem.edges[:, 1]]
-    inv_i = aug.auq_inverse(xi)
-    ji = _compose_jac_left(xj, like=xj) @ _auq_inverse_jac(xi)
-    jj = _compose_jac_right(inv_i, xj)
-    return ji, jj
-
-
-def _block_jacobians(problem: Problem, x) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Rows of the full Jacobian as (block column index, edge rows, (m,7,7))."""
-    if isinstance(problem, HandEyeWorldProblem):
-        m = problem.pair_count
-        rows = np.arange(m)
-        return [
-            (np.zeros(m, dtype=int), rows, _compose_jac_right(problem.a, x[0])),
-            (np.ones(m, dtype=int), rows, -_compose_jac_left(problem.b, like=x[1])),
-        ]
-    if isinstance(problem, HandEyeProblem):
-        m = problem.pair_count
-        rows = np.arange(m)
-        jac = _compose_jac_right(problem.a, x[0]) - _compose_jac_left(problem.b, like=x[0])
-        return [(np.zeros(m, dtype=int), rows, jac)]
-    ji, jj = _slam_edge_jacobians(problem, x)
-    rows = np.arange(len(problem.edges))
-    return [(problem.edges[:, 0], rows, ji), (problem.edges[:, 1], rows, jj)]
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +411,7 @@ def _sphere_basis(p) -> np.ndarray:
 
 
 def _free_blocks(problem: Problem) -> np.ndarray:
-    free = np.arange(problem.n_blocks)
-    if isinstance(problem, PoseGraphProblem):
-        free = np.setdiff1d(free, problem.gauge)
-    return free
+    return np.setdiff1d(np.arange(problem.n_blocks), problem.gauge)
 
 
 def _project_gradient(problem: Problem, x, grad_blocks) -> np.ndarray:
@@ -426,60 +420,29 @@ def _project_gradient(problem: Problem, x, grad_blocks) -> np.ndarray:
     p = x[:, :4]
     radial = np.sum(out[:, :4] * p, axis=-1, keepdims=True)
     out[:, :4] -= radial * p
-    if isinstance(problem, PoseGraphProblem):
-        out[problem.gauge] = 0.0
+    out[problem.gauge] = 0.0
     return out
 
 
 def _retract(problem: Problem, x) -> np.ndarray:
     out = x.copy()
     out[:, :4] /= np.linalg.norm(out[:, :4], axis=-1, keepdims=True)
-    if isinstance(problem, PoseGraphProblem):
-        out[problem.gauge] = aug.IDENTITY
+    out[problem.gauge] = aug.IDENTITY
     return out
-
-
-def _default_init(problem: Problem) -> np.ndarray:
-    if isinstance(problem, PoseGraphProblem):
-        return _spanning_tree_init(problem)
-    return np.tile(aug.identity(), (problem.n_blocks, 1))
 
 
 def _random_init(problem: Problem, rng) -> np.ndarray:
     n = problem.n_blocks
     x = np.concatenate([quat.random_unit(rng, n), rng.uniform(-1.0, 1.0, (n, 3))], axis=-1)
-    if isinstance(problem, PoseGraphProblem):
-        x[problem.gauge] = aug.IDENTITY
-    return x
-
-
-def _spanning_tree_init(problem: PoseGraphProblem) -> np.ndarray:
-    """Chain poses along BFS trees of measurements from the gauge vertices."""
-    x = np.tile(aug.identity(), (problem.n, 1))
-    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(problem.n)]
-    for k, (i, j) in enumerate(problem.edges):
-        adj[i].append((j, k, True))
-        adj[j].append((i, k, False))
-    seen = set(problem.gauge.tolist())
-    queue = deque(problem.gauge.tolist())
-    while queue:
-        i = queue.popleft()
-        for j, k, forward in adj[i]:
-            if j in seen:
-                continue
-            y = problem.measurements[k]
-            x[j] = aug.compose(x[i], y if forward else aug.auq_inverse(y))
-            seen.add(j)
-            queue.append(j)
+    x[problem.gauge] = aug.IDENTITY
     return x
 
 
 def _check_init(problem: Problem, init) -> np.ndarray:
-    init = np.asarray(init, dtype=float)
-    if init.ndim == 1 and init.size == 7 * problem.n_blocks:
-        init = init.reshape(problem.n_blocks, 7)
-    if init.shape != (problem.n_blocks, 7):
-        raise InfeasibleInit(f"initial guess must have {problem.n_blocks} pose blocks")
+    try:
+        init = _as_blocks(problem, init)
+    except ValueError:
+        raise InfeasibleInit(f"initial guess must have {problem.n_blocks} pose blocks") from None
     dev = np.abs(np.linalg.norm(init[:, :4], axis=-1) - 1.0)
     if np.any(dev > UNIT_NORMALIZE_TOL):
         raise InfeasibleInit(f"initial quaternion norm deviates by {float(dev.max()):.3e}")
@@ -498,28 +461,23 @@ def _gauss_newton_step(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarra
     col[free] = np.arange(k)
     bases = _sphere_basis(x[free, :4])
     sqrt_w = np.sqrt(_component_weights(problem))
-    z = residuals(problem, x) * sqrt_w
-    # per block list: tangent Jacobian and free column of every residual row;
-    # a row the list does not reach, or reaches only at a gauge vertex, keeps a
-    # zero Jacobian, so the column 0 it points at receives nothing
-    terms = []
-    for block_idx, rows, jblocks in _block_jacobians(problem, x):
-        keep = col[block_idx] >= 0
-        c, r = col[block_idx[keep]], rows[keep]
-        jb = jblocks[keep] * sqrt_w[:, None]
-        jt = np.zeros((len(z), 7, 6))
-        jt[r, :, :3] = jb[..., :4] @ bases[c]
-        jt[r, :, 3:] = jb[..., 4:]
-        cols = np.zeros(len(z), dtype=int)
-        cols[r] = c
-        terms.append((jt, cols))
+    z, cols, jac = problem.linearize(x)
+    z = z * sqrt_w
+    # tangent Jacobians (m, s, 7, 6); a gauge block's is zero and adds to column 0
+    c = col[cols]
+    held = c < 0
+    c[held] = 0
+    jt = np.empty(jac.shape[:-1] + (6,))
+    jt[..., :3] = jac[..., :4] @ bases[c]
+    jt[..., 3:] = jac[..., 4:]
+    jt *= sqrt_w[:, None]
+    jt[held] = 0.0
     # laid out (k, 6, k, 6) so that the 6k x 6k matrix is a view, not a copy
     hess = np.zeros((k, 6, k, 6))
     grad = np.zeros((k, 6))
-    for jt_s, c_s in terms:
-        np.add.at(grad, c_s, np.einsum("mia,mi->ma", jt_s, z))
-        for jt_t, c_t in terms:
-            np.add.at(hess, (c_s, slice(None), c_t), np.swapaxes(jt_s, 1, 2) @ jt_t)
+    np.add.at(grad, c, np.einsum("msia,mi->msa", jt, z))
+    blocks = np.swapaxes(jt, 2, 3)[:, :, None] @ jt[:, None]  # J_s^T J_t, (m, s, s, 6, 6)
+    np.add.at(hess, (c[:, :, None], slice(None), c[:, None, :]), blocks)
     hess = hess.reshape(6 * k, 6 * k)
     try:
         delta = np.linalg.solve(hess, -grad.ravel())
@@ -576,30 +534,31 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
 def solve(problem: Problem, config: SolverConfig | None = None, init=None) -> SolveResult:
     """Minimize the problem objective over the feasible pose blocks.
 
-    Restart 0 starts from `init` when given, else from a deterministic
-    default (identity blocks; spanning-tree chaining for pose graphs);
-    later restarts draw random feasible points from config.seed.
-    Restarting stops early once the best objective reaches
-    config.target_objective.
+    Restart 0 starts from `init` when given, else from
+    problem.initial_guess(); later restarts draw random feasible points
+    from config.seed.  Restarting stops early once a restart reaches
+    config.target_objective.  The lowest-objective restart is returned;
+    among restarts within SAME_OBJECTIVE_RTOL of it, a converged one is
+    preferred.
     """
     cfg = config if config is not None else SolverConfig()
     rng = np.random.default_rng(cfg.seed)
     if init is not None:
         init = _check_init(problem, init)
 
-    best: RestartRecord | None = None
     records: list[RestartRecord] = []
     for r in range(max(1, cfg.restarts)):
         if r == 0:
-            x0 = init.copy() if init is not None else _default_init(problem)
+            x0 = init.copy() if init is not None else problem.initial_guess()
         else:
             x0 = _random_init(problem, rng)
-        record = _descend(problem, x0, cfg)
-        records.append(record)
-        if best is None or record.objective < best.objective:
-            best = record
-        if best.objective <= cfg.target_objective:
+        records.append(_descend(problem, x0, cfg))
+        if records[-1].objective <= cfg.target_objective:
             break
+    # the lowest-objective restart, or a converged one within rounding of it
+    close = min(r.objective for r in records) * (1.0 + SAME_OBJECTIVE_RTOL)
+    best = min(records, key=lambda r: (r.objective > close or r.status != STATUS_CONVERGED,
+                                       r.objective))
     return SolveResult(
         solution=best.solution,
         objective=best.objective,

@@ -126,6 +126,25 @@ def test_nonconvergence_exit_code_still_writes(tmp_path):
     assert sol["status"] in ("max_iters", "stalled")
 
 
+def test_noisy_calibration_reports_a_converged_restart(tmp_path):
+    """The lowest-objective restart of this instance stalls just above the
+    gradient tolerance, while others converge to the same objective up to
+    rounding; the solve reports one of those."""
+    problem = tmp_path / "n.txt"
+    args = ["gen", "--problem", "handeye", "-m", "100", "--seed", "300"]
+    noise = ["--rot-noise", "0.01", "--trans-noise", "0.01", "--noise-seed", "0"]
+    assert main(args + noise + ["-o", str(problem)]) == 0
+    solution = tmp_path / "n.sol"
+    assert main(["calibrate", str(problem), "-o", str(solution)]) == 0
+    sol = files.parse_solution(solution)
+    assert sol["status"] == "converged"
+    result = opt.solve(files.parse_problem_file(problem))
+    lowest = min(r.objective for r in result.restarts)
+    assert result.status == opt.STATUS_CONVERGED
+    assert result.objective - lowest <= opt.SAME_OBJECTIVE_RTOL * lowest
+    assert any(r.status != opt.STATUS_CONVERGED and r.objective == lowest for r in result.restarts)
+
+
 
 @pytest.mark.parametrize(
     "option",

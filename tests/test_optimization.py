@@ -131,6 +131,34 @@ def test_gradient_matches_finite_differences(kind):
         assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(numeric)
 
 
+@pytest.mark.parametrize("kind", ["handeye", "world", "slam"])
+def test_linearize_jacobian_matches_finite_differences(kind):
+    """Every column of the kernel's Jacobian against central differences of
+    the kernel's residuals, at random feasible points."""
+    if kind == "handeye":
+        problem, _ = gen_handeye(m=5, seed=19, sigma=0.8)
+    elif kind == "world":
+        problem, _, _ = gen_handeye_world(m=5, seed=20, sigma=1.2)
+    else:
+        problem, _ = gen_posegraph(n=6, loop_edges=4, seed=21, sigma=0.6)
+    rng = np.random.default_rng(22)
+    h = 1e-6
+    for _ in range(3):
+        x = _rand_auq(problem.n_blocks, rng=rng)
+        z, cols, jac = problem.linearize(x)
+        np.testing.assert_array_equal(z, problem.residuals(x))
+        m, s = cols.shape
+        assert jac.shape == (m, s, 7, 7)
+        for b in range(problem.n_blocks):
+            for j in range(7):
+                up, down = x.copy(), x.copy()
+                up[b, j] += h
+                down[b, j] -= h
+                numeric = (problem.residuals(up) - problem.residuals(down)) / (2 * h)
+                analytic = np.einsum("ms,msi->mi", cols == b, jac[..., j])
+                assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+
 def test_gradient_zero_at_noise_free_truth():
     problem, x_true = gen_handeye(m=5, seed=8)
     assert np.linalg.norm(opt.gradient(problem, x_true[None])) <= 1e-10
@@ -311,10 +339,11 @@ def _dense_lstsq_step(problem, x):
     free = opt._free_blocks(problem)
     col_of = {int(b): c for c, b in enumerate(free)}
     sqrt_w = np.sqrt(opt._component_weights(problem))
-    z = opt.residuals(problem, x) * sqrt_w
+    z, cols, jblocks = problem.linearize(x)
+    z = z * sqrt_w
     jac = np.zeros((len(z), 7, len(free), 6))
-    for block_idx, rows, jblocks in opt._block_jacobians(problem, x):
-        for b, r, jb in zip(block_idx, rows, jblocks * sqrt_w[:, None]):
+    for r in range(len(z)):
+        for b, jb in zip(cols[r], jblocks[r] * sqrt_w[:, None]):
             if int(b) in col_of:
                 c = col_of[int(b)]
                 jac[r, :, c, :3] += jb[:, :4] @ opt._sphere_basis(x[b, :4])
@@ -377,7 +406,7 @@ def test_every_component_is_gauge_fixed(seed):
     with pytest.warns(UserWarning):
         problem = opt.PoseGraphProblem(n=6, edges=edges, measurements=y)
     np.testing.assert_array_equal(problem.gauge, [0, 3])
-    assert opt.objective(problem, opt._spanning_tree_init(problem)) <= 1e-28
+    assert opt.objective(problem, problem.initial_guess()) <= 1e-28
     result = opt.solve(problem, opt.SolverConfig(restarts=1), init=np.tile(aug.IDENTITY, (6, 1)))
     assert result.status == opt.STATUS_CONVERGED
     assert result.iterations <= 20
