@@ -3,8 +3,7 @@
 Subcommands: gen, calibrate, calibrate-world, slam, simulate, probe.
 All outputs are deterministic for a fixed seed.  calibrate,
 calibrate-world and slam run up to --restarts tangent-space
-Gauss-Newton loops of at most --max-iters iterations each; there is no
-separate gradient-descent phase, so the former --no-gn flag is gone.
+Gauss-Newton loops of at most --max-iters iterations each.
 Exit codes: 0 success, 1 I/O failure, 2 malformed input file or invalid
 option value, 3 solver did not converge (the solution file is still
 written) or simulation diverged (no trace is written).
@@ -22,7 +21,7 @@ from . import __version__, files
 from . import generation as gen
 from . import motion
 from .control import Gains, LyapunovWeights, integrate
-from .errors import ParseError, StepDiverged
+from .errors import StepDiverged
 from .generation import NoiseModel
 from .optimization import STATUS_CONVERGED, SolverConfig, solve
 
@@ -126,7 +125,7 @@ def _run_gen(args) -> int:
     return 0
 
 
-def _run_solve(args, world: bool, posegraph: bool) -> int:
+def _run_solve(args, world: bool) -> int:
     problem = files.parse_problem_file(args.input, world=world)
     config = SolverConfig(
         max_iters=args.max_iters,
@@ -135,8 +134,7 @@ def _run_solve(args, world: bool, posegraph: bool) -> int:
         seed=args.seed,
         target_objective=args.target_objective,
     )
-    init = problem.initial if posegraph and getattr(problem, "initial", None) is not None else None
-    result = solve(problem, config, init=init)
+    result = solve(problem, config)
     files.write_solution(args.output, result, problem)
     return 0 if result.status == STATUS_CONVERGED else 3
 
@@ -155,9 +153,6 @@ def _run_simulate(args) -> int:
             weights=LyapunovWeights(args.alpha, args.beta),
             dynamics=args.dynamics,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except StepDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -176,16 +171,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen":
             return _run_gen(args)
-        if args.command == "calibrate":
-            return _run_solve(args, world=False, posegraph=False)
-        if args.command == "calibrate-world":
-            return _run_solve(args, world=True, posegraph=False)
-        if args.command == "slam":
-            return _run_solve(args, world=False, posegraph=True)
+        if args.command in ("calibrate", "calibrate-world", "slam"):
+            return _run_solve(args, world=args.command == "calibrate-world")
         if args.command == "simulate":
             return _run_simulate(args)
         return _run_probe(args)
-    except ParseError as exc:
+    except ValueError as exc:  # a malformed file (ParseError) or an invalid option value
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

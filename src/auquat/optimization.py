@@ -14,18 +14,19 @@ is a product of unit 3-spheres (one per pose block) times R^3 factors.
 Each problem class is its own kernel, which the solver reads only
 through `residuals(x)`, the (m, 7) residuals at the (n, 7) pose blocks
 x; `linearize(x)`, the residuals z, the (m, s) blocks `cols` each one
-depends on and the (m, s, 7, 7) ambient Jacobians dz/dx[cols] (s = 1
-for hand-eye, 2 otherwise); `gauge`, the blocks held at the identity;
-and `initial_guess()` (identity blocks, or a spanning-tree chaining of
-the measurements for pose graphs).  The gradient J^T W z and the
-Gauss-Newton step both read `linearize`.  Each restart is one
-Gauss-Newton loop on the tangent spaces: the step solves the normal
-equations, summed from the 6x6 tangent blocks of every residual (the
-minimum-norm least-squares step is taken only when they are singular),
-is halved until the objective falls, and is retracted by renormalizing
-every quaternion block.  A pose graph's objective is invariant under a
-left translation of each weakly connected component, so its gauge is
-the anchor and the lowest vertex of every other component with an edge.
+depends on and the (m, s, 7, 7) ambient Jacobians dz/dx[cols] (s = 1 for
+hand-eye, 2 otherwise); `gauge`, the blocks held at the identity; and
+`initial_guess()` (identity blocks; for pose graphs `initial`, or else a
+spanning-tree chaining of the measurements).  The gradient J^T W z and
+the Gauss-Newton step both read `linearize`.  Each restart is one
+tangent-space Gauss-Newton loop.  It assembles the normal equations from
+the 6x6 tangent blocks of every residual at its start and after each
+accepted step, and stops on their tangent gradient norm.  Steps
+(minimum-norm least squares only for a singular system) are halved until
+the objective falls and retracted by renormalizing every quaternion
+block.  A pose graph's objective is invariant under a left translation
+of each weakly connected component, so its gauge is the anchor and the
+lowest vertex of every other component with an edge.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class HandEyeProblem:
         return residual_handeye(x[0], self.a, self.b)
 
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        jac = _compose_jac_right(self.a, x[0]) - _compose_jac_left(self.b, like=x[0])
+        jac = _compose_jac_right(self.a, x[0]) - _compose_jac_left(self.b)
         return self.residuals(x), np.zeros((self.pair_count, 1), dtype=int), jac[:, None]
 
     def initial_guess(self) -> np.ndarray:
@@ -117,7 +118,7 @@ class HandEyeWorldProblem(HandEyeProblem):
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         jac = np.empty((self.pair_count, 2, 7, 7))
         jac[:, 0] = _compose_jac_right(self.a, x[0])
-        jac[:, 1] = -_compose_jac_left(self.b, like=x[1])
+        jac[:, 1] = -_compose_jac_left(self.b)
         return self.residuals(x), np.tile([0, 1], (self.pair_count, 1)), jac
 
 
@@ -180,12 +181,14 @@ class PoseGraphProblem:
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xi, xj = x[self.edges[:, 0]], x[self.edges[:, 1]]
         jac = np.empty((len(self.edges), 2, 7, 7))
-        jac[:, 0] = _compose_jac_left(xj, like=xj) @ _auq_inverse_jac(xi)
+        jac[:, 0] = _compose_jac_left(xj) @ _auq_inverse_jac(xi)
         jac[:, 1] = _compose_jac_right(aug.auq_inverse(xi), xj)
         return self.residuals(x), self.edges, jac
 
     def initial_guess(self) -> np.ndarray:
-        """Chain poses along BFS trees of measurements from the gauge vertices."""
+        """`initial` with the gauge at the identity, else BFS chaining from the gauge."""
+        if self.initial is not None:
+            return _retract(self, self.initial)
         x = np.tile(aug.identity(), (self.n, 1))
         adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.n)]
         for k, (i, j) in enumerate(self.edges):
@@ -322,11 +325,10 @@ def _d_rot_dq(p, t) -> np.ndarray:
     return np.concatenate([col0[..., :, None], cols], axis=-1)
 
 
-def _compose_jac_left(y, like) -> np.ndarray:
+def _compose_jac_left(y) -> np.ndarray:
     """d compose(x, y) / d x; depends only on y.  Shape (..., 7, 7)."""
     y = np.asarray(y, dtype=float)
-    batch = np.broadcast_shapes(y.shape[:-1], np.shape(like)[:-1])
-    out = np.zeros(batch + (7, 7))
+    out = np.zeros(y.shape[:-1] + (7, 7))
     out[..., :4, :4] = quat.right_matrix(y[..., :4])
     out[..., 4:, 4:] = quat.rot_matrix_T(y[..., :4])
     return out
@@ -414,16 +416,6 @@ def _free_blocks(problem: Problem) -> np.ndarray:
     return np.setdiff1d(np.arange(problem.n_blocks), problem.gauge)
 
 
-def _project_gradient(problem: Problem, x, grad_blocks) -> np.ndarray:
-    """Tangent projection per quaternion block; gauge blocks zeroed."""
-    out = grad_blocks.copy()
-    p = x[:, :4]
-    radial = np.sum(out[:, :4] * p, axis=-1, keepdims=True)
-    out[:, :4] -= radial * p
-    out[problem.gauge] = 0.0
-    return out
-
-
 def _retract(problem: Problem, x) -> np.ndarray:
     out = x.copy()
     out[:, :4] /= np.linalg.norm(out[:, :4], axis=-1, keepdims=True)
@@ -449,12 +441,12 @@ def _check_init(problem: Problem, init) -> np.ndarray:
     return _retract(problem, init)
 
 
-def _gauss_newton_step(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent Gauss-Newton step of the free blocks: (delta (k, 6), bases (k, 4, 3)).
+def _normal_equations(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tangent normal equations of the free blocks: (H (6k, 6k), g (k, 6), bases (k, 4, 3)).
 
-    The normal equations H delta = -g are summed from the 6x6 blocks
-    J_s^T J_t and J_s^T z of every residual.  The minimum-norm
-    least-squares solution is taken only when H is singular.
+    H and g = J^T W z are summed from the 6x6 blocks J_s^T J_t and J_s^T z
+    of every residual.  Each basis is orthonormal and orthogonal to its
+    quaternion, so |g| is the norm of the projected gradient.
     """
     k = len(free)
     col = np.full(problem.n_blocks, -1)
@@ -478,30 +470,36 @@ def _gauss_newton_step(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarra
     np.add.at(grad, c, np.einsum("msia,mi->msa", jt, z))
     blocks = np.swapaxes(jt, 2, 3)[:, :, None] @ jt[:, None]  # J_s^T J_t, (m, s, s, 6, 6)
     np.add.at(hess, (c[:, :, None], slice(None), c[:, None, :]), blocks)
-    hess = hess.reshape(6 * k, 6 * k)
+    return hess.reshape(6 * k, 6 * k), grad, bases
+
+
+def _gauss_newton_step(hess, grad) -> np.ndarray:
+    """The (k, 6) step solving H delta = -g; lstsq only when H is singular."""
     try:
         delta = np.linalg.solve(hess, -grad.ravel())
     except np.linalg.LinAlgError:
         delta, *_ = np.linalg.lstsq(hess, -grad.ravel(), rcond=None)
-    return delta.reshape(k, 6), bases
+    return delta.reshape(grad.shape)
 
 
 def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
     """Tangent-space Gauss-Newton with step halving from a feasible x.
 
-    A step is accepted once the objective strictly falls.  The loop ends
-    when the cap is spent, no halved step lowers the objective, or the
-    relative decrease drops to rounding level; the status then comes
-    from the projected gradient norm.
+    The normal equations are assembled at x and after each accepted step,
+    which strictly lowers the objective.  The loop ends when the cap is
+    spent, no halved step lowers it, or the relative decrease drops to
+    rounding level; the status comes from |g| of the last assembly.
     """
     f = objective(problem, x)
     if not np.isfinite(f):
         raise NonFiniteObjective("objective is not finite at the initial point")
     free = _free_blocks(problem)
+    hess, grad, bases = _normal_equations(problem, x, free)
     iterations = 0
     status = STATUS_STALLED
     for _ in range(cfg.max_iters):
-        delta, bases = _gauss_newton_step(problem, x, free)
+        delta = _gauss_newton_step(hess, grad)
+        del hess  # else two 6k x 6k matrices are alive while the next one is assembled
         if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) <= 1e-16 * (1.0 + np.linalg.norm(x)):
             break
         step = np.zeros_like(x)
@@ -519,13 +517,13 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         improvement = f - f_new
         x, f = x_new, f_new
         iterations += 1
+        hess, grad, bases = _normal_equations(problem, x, free)
         if f <= 1e-30 or improvement <= 1e-15 * max(f, 1e-300):
             break
     else:  # the cap was spent
         status = STATUS_MAX_ITERS
 
-    g = _project_gradient(problem, x, gradient(problem, x).reshape(-1, 7))
-    g_norm = float(np.linalg.norm(g))
+    g_norm = float(np.linalg.norm(grad))
     if g_norm <= cfg.grad_tol:
         status = STATUS_CONVERGED
     return RestartRecord(x, f, g_norm, iterations, status)

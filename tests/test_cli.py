@@ -170,6 +170,27 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--problem", "handeye", "-m", "0"],
+        ["gen", "--problem", "posegraph", "-n", "3", "--loop-edges", "100"],
+        ["gen", "--problem", "handeye", "--sigma", "-1"],
+        ["calibrate", "PROBLEM", "--tol", "0"],
+        ["probe", "--deltas", "0"],
+    ],
+)
+def test_invalid_option_value_exit_code(tmp_path, capsys, argv):
+    problem = tmp_path / "p.txt"
+    assert main(["gen", "--problem", "handeye", "-o", str(problem)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.txt"
+    argv = [str(problem) if arg == "PROBLEM" else arg for arg in argv]
+    assert main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_slam_uses_file_initial_guess(tmp_path):
     from auquat.generation import gen_posegraph
 

@@ -225,15 +225,25 @@ def test_solver_trace_is_monotone():
 
 
 def test_noisy_handeye_runs_gauss_newton_from_the_first_iteration(monkeypatch):
-    """The gradient is taken once per restart, for the final stopping test,
-    and the restarts together need few iterations."""
+    """Each restart linearizes once at its start point and once per
+    accepted step, never through `gradient`, and the restarts together
+    need few iterations."""
     problem, _ = gen_handeye(m=20, seed=7, noise=NoiseModel(0.01, 0.01, 7))
-    calls = []
-    gradient = opt.gradient
-    monkeypatch.setattr(opt, "gradient", lambda *a: calls.append(1) or gradient(*a))
+    linearized, per_restart = [], []
+    linearize, descend = problem.linearize, opt._descend
+
+    def counted_descend(*args):
+        start = len(linearized)
+        record = descend(*args)
+        per_restart.append(len(linearized) - start)
+        return record
+
+    monkeypatch.setattr(problem, "linearize", lambda x: linearized.append(1) or linearize(x))
+    monkeypatch.setattr(opt, "_descend", counted_descend)
+    monkeypatch.setattr(opt, "gradient", lambda *a: pytest.fail("the solver called gradient"))
     result = opt.solve(problem, opt.SolverConfig(seed=0))
     assert len(result.restarts) == 10
-    assert len(calls) == len(result.restarts)
+    assert per_restart == [r.iterations + 1 for r in result.restarts]
     assert sum(r.iterations for r in result.restarts) <= 150
 
 
@@ -367,12 +377,48 @@ def test_gauss_newton_step_matches_dense_lstsq(kind):
             n=graph.n, edges=graph.edges, measurements=graph.measurements, anchor=3
         )
     x = opt._retract(problem, x + 0.05 * rng.normal(size=x.shape))
-    delta, bases = opt._gauss_newton_step(problem, x, opt._free_blocks(problem))
+    hess, grad, bases = opt._normal_equations(problem, x, opt._free_blocks(problem))
+    delta = opt._gauss_newton_step(hess, grad)
     reference = _dense_lstsq_step(problem, x)
     assert delta.shape == reference.shape
     assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
     for b, basis in zip(opt._free_blocks(problem), bases):
         np.testing.assert_allclose(basis, opt._sphere_basis(x[b, :4]), atol=0)
+
+
+@pytest.mark.parametrize("kind", ["handeye", "world", "slam"])
+def test_stopping_gradient_is_the_projected_gradient(kind):
+    """|g| of the normal equations is the norm of the public ambient
+    gradient projected onto the tangent spaces, with gauge blocks zeroed."""
+    if kind == "handeye":
+        problem, _ = gen_handeye(m=5, seed=24, sigma=0.8)
+    elif kind == "world":
+        problem, _, _ = gen_handeye_world(m=5, seed=25, sigma=1.2)
+    else:
+        graph, _ = gen_posegraph(n=6, loop_edges=4, seed=26, sigma=0.6)
+        problem = opt.PoseGraphProblem(
+            n=graph.n, edges=graph.edges, measurements=graph.measurements, sigma=0.6, anchor=2
+        )
+    rng = np.random.default_rng(27)
+    for _ in range(3):
+        x = opt._retract(problem, _rand_auq(problem.n_blocks, rng=rng))
+        _, grad, _ = opt._normal_equations(problem, x, opt._free_blocks(problem))
+        g = opt.gradient(problem, x).reshape(-1, 7)
+        g[:, :4] -= np.sum(g[:, :4] * x[:, :4], axis=-1, keepdims=True) * x[:, :4]
+        g[problem.gauge] = 0.0
+        assert abs(np.linalg.norm(grad) - np.linalg.norm(g)) <= 1e-12 * np.linalg.norm(g)
+
+
+def test_posegraph_solve_starts_from_the_problem_initial_guess():
+    graph, _ = gen_posegraph(n=6, loop_edges=4, seed=28)
+    x0 = _rand_auq(6, rng=np.random.default_rng(29))
+    problem = opt.PoseGraphProblem(
+        n=graph.n, edges=graph.edges, measurements=graph.measurements, initial=x0
+    )
+    result = opt.solve(problem, opt.SolverConfig(max_iters=0, restarts=1))
+    expected = x0.copy()
+    expected[problem.gauge] = aug.IDENTITY
+    np.testing.assert_allclose(result.solution, expected, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [6, 7])
