@@ -36,14 +36,6 @@ def dq(std, dual) -> np.ndarray:
     return np.concatenate([std, dual], axis=-1)
 
 
-def std_part(q) -> np.ndarray:
-    return _as_dq(q)[..., :4]
-
-
-def dual_part(q) -> np.ndarray:
-    return _as_dq(q)[..., 4:]
-
-
 def dq_mul(p, q) -> np.ndarray:
     """Product [ps qs; ps qd + pd qs]."""
     p = _as_dq(p)

@@ -72,6 +72,21 @@ def _int(part, path, line_no) -> int:
         raise ParseError(f"expected an integer index, got {part!r}", path, line_no) from exc
 
 
+def _indexed_poses(rows, path) -> np.ndarray:
+    """Stack (index, pose) rows by index; the indices must be 0, ..., n - 1, each once."""
+    poses: dict[int, np.ndarray] = {}
+    for i, pose in rows:
+        if i < 0:
+            raise ParseError(f"pose index {i} is negative", path)
+        if i in poses:
+            raise ParseError(f"pose index {i} is repeated", path)
+        poses[i] = pose
+    missing = set(range(len(poses))) - poses.keys()
+    if missing:
+        raise ParseError(f"pose index {min(missing)} is missing", path)
+    return np.array([poses[i] for i in range(len(poses))])
+
+
 def write_problem(path, problem: Problem) -> None:
     lines = [f"SIGMA {_fmt(problem.sigma)}"]
     if isinstance(problem, PoseGraphProblem):
@@ -165,10 +180,7 @@ def parse_truth(path) -> np.ndarray:
             rows.append((len(rows), _floats(rest, 7, path, line_no)))
     if not rows:
         raise ParseError("no TRUTH records found", path)
-    out = np.zeros((max(i for i, _ in rows) + 1, 7))
-    for i, pose in rows:
-        out[i] = pose
-    return out
+    return _indexed_poses(rows, path)
 
 
 def write_solution(path, result: SolveResult, problem: Problem) -> None:
@@ -187,7 +199,9 @@ def parse_solution(path) -> dict:
     for line_no, parts in _tokens(path):
         keyword, rest = parts[0].upper(), parts[1:]
         if keyword == "STATUS":
-            status = rest[0] if rest else None
+            if len(rest) != 1:
+                raise ParseError(f"expected 1 field after STATUS, got {len(rest)}", path, line_no)
+            status = rest[0]
         elif keyword == "OBJECTIVE":
             objective = float(_floats(rest, 1, path, line_no)[0])
         elif keyword == "SOLUTION":
@@ -200,10 +214,7 @@ def parse_solution(path) -> dict:
             raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
     if not rows:
         raise ParseError("no solution records found", path)
-    solution = np.zeros((max(i for i, _ in rows) + 1, 7))
-    for i, pose in rows:
-        solution[i] = pose
-    return {"status": status, "objective": objective, "solution": solution}
+    return {"status": status, "objective": objective, "solution": _indexed_poses(rows, path)}
 
 
 def write_trace(path, trace: ControlTrace) -> None:

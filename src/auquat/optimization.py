@@ -17,7 +17,7 @@ x; `linearize(x)`, the residuals z, the (m, s) blocks `cols` each one
 depends on and the (m, s, 7, 7) ambient Jacobians dz/dx[cols] (s = 1 for
 hand-eye, 2 otherwise); `gauge`, the blocks held at the identity; and
 `initial_guess()` (identity blocks; for pose graphs `initial`, or else a
-spanning-tree chaining of the measurements).  The gradient J^T W z and
+spanning-forest chaining of the measurements).  The gradient J^T W z and
 the Gauss-Newton step both read `linearize`.  Each restart is one
 tangent-space Gauss-Newton loop.  It assembles the normal equations from
 the 6x6 tangent blocks of every residual at its start and after each
@@ -26,7 +26,8 @@ accepted step, and stops on their tangent gradient norm.  Steps
 the objective falls and retracted by renormalizing every quaternion
 block.  A pose graph's objective is invariant under a left translation
 of each weakly connected component, so its gauge is the anchor and the
-lowest vertex of every other component with an edge.
+lowest vertex of every other component with an edge.  One breadth-first
+walk at construction yields both the gauge and the spanning forest.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 from . import augmented as aug
 from . import quaternion as quat
 from .errors import InfeasibleInit, NonFiniteObjective
-from .tolerances import UNIT_NORMALIZE_TOL
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -130,6 +130,9 @@ class PoseGraphProblem:
     A weakly disconnected graph is not identifiable; it is accepted with
     a warning, and the lowest vertex of every other component that has an
     edge is held at the identity too.  `gauge` lists the held vertices.
+    Construction walks the graph once, breadth first from the anchor and
+    then from each lowest unreached vertex; the walk's roots give `gauge`
+    and its tree arcs the chaining of `initial_guess()`.
     """
 
     n: int
@@ -160,16 +163,30 @@ class PoseGraphProblem:
             self.initial = _unit_blocks(self.initial, "initial")
             if len(self.initial) != self.n:
                 raise ValueError("initial guess must cover every vertex")
-        self._labels = _component_labels(self.n, self.edges)
-        roots = np.unique(self._labels[self.edges.ravel()])
-        roots = roots[roots != self._labels[self.anchor]]
-        self.gauge = np.sort(np.append(roots, self.anchor))
-        if not self._weakly_connected():
+        adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.n)]
+        for k, (i, j) in enumerate(self.edges.tolist()):
+            adj[i].append((j, k, True))
+            adj[j].append((i, k, False))
+        seen = [False] * self.n
+        gauge, self._arcs = [], []  # arcs: (parent, child, edge, edge points to child)
+        for root in [self.anchor, *range(self.n)]:
+            if seen[root]:
+                continue
+            seen[root] = True
+            if root == self.anchor or adj[root]:
+                gauge.append(root)
+            queue = deque([root])
+            while queue:
+                i = queue.popleft()
+                for j, k, forward in adj[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        self._arcs.append((i, j, k, forward))
+                        queue.append(j)
+        self.gauge = np.array(sorted(gauge))
+        if len(self._arcs) < self.n - 1:
             warnings.warn("pose graph is not weakly connected; solution is not unique",
                           stacklevel=2)
-
-    def _weakly_connected(self) -> bool:
-        return bool(np.all(self._labels == self._labels[0]))
 
     @property
     def n_blocks(self) -> int:
@@ -186,46 +203,14 @@ class PoseGraphProblem:
         return self.residuals(x), self.edges, jac
 
     def initial_guess(self) -> np.ndarray:
-        """`initial` with the gauge at the identity, else BFS chaining from the gauge."""
+        """`initial` with the gauge at the identity, else chaining along the walk's tree arcs."""
         if self.initial is not None:
             return _retract(self, self.initial)
         x = np.tile(aug.identity(), (self.n, 1))
-        adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.n)]
-        for k, (i, j) in enumerate(self.edges):
-            adj[i].append((j, k, True))
-            adj[j].append((i, k, False))
-        seen = set(self.gauge.tolist())
-        queue = deque(self.gauge.tolist())
-        while queue:
-            i = queue.popleft()
-            for j, k, forward in adj[i]:
-                if j in seen:
-                    continue
-                y = self.measurements[k]
-                x[j] = aug.compose(x[i], y if forward else aug.auq_inverse(y))
-                seen.add(j)
-                queue.append(j)
+        for i, j, k, forward in self._arcs:
+            y = self.measurements[k]
+            x[j] = aug.compose(x[i], y if forward else aug.auq_inverse(y))
         return x
-
-
-def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
-    """Lowest vertex of the weakly connected component of every vertex."""
-    adj = [[] for _ in range(n)]
-    for i, j in edges.tolist():
-        adj[i].append(j)
-        adj[j].append(i)
-    labels = np.full(n, -1)
-    for root in range(n):
-        if labels[root] >= 0:
-            continue
-        labels[root] = root
-        queue = deque([root])
-        while queue:
-            for k in adj[queue.popleft()]:
-                if labels[k] < 0:
-                    labels[k] = root
-                    queue.append(k)
-    return labels
 
 
 Problem = HandEyeProblem | HandEyeWorldProblem | PoseGraphProblem
@@ -382,6 +367,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
+        if self.max_iters < 0 or self.restarts < 0:
+            raise ValueError("max_iters and restarts must be nonnegative")
 
 
 @dataclass
@@ -394,12 +381,7 @@ class RestartRecord:
 
 
 @dataclass
-class SolveResult:
-    solution: np.ndarray
-    objective: float
-    grad_norm: float
-    iterations: int
-    status: str
+class SolveResult(RestartRecord):
     restarts: list[RestartRecord] = field(default_factory=list)
 
 
@@ -432,13 +414,11 @@ def _random_init(problem: Problem, rng) -> np.ndarray:
 
 def _check_init(problem: Problem, init) -> np.ndarray:
     try:
-        init = _as_blocks(problem, init)
-    except ValueError:
-        raise InfeasibleInit(f"initial guess must have {problem.n_blocks} pose blocks") from None
-    dev = np.abs(np.linalg.norm(init[:, :4], axis=-1) - 1.0)
-    if np.any(dev > UNIT_NORMALIZE_TOL):
-        raise InfeasibleInit(f"initial quaternion norm deviates by {float(dev.max()):.3e}")
-    return _retract(problem, init)
+        init = aug.as_auq(_as_blocks(problem, init))
+    except ValueError as exc:
+        raise InfeasibleInit(f"infeasible initial guess: {exc}") from None
+    init[problem.gauge] = aug.IDENTITY
+    return init
 
 
 def _normal_equations(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -557,11 +537,4 @@ def solve(problem: Problem, config: SolverConfig | None = None, init=None) -> So
     close = min(r.objective for r in records) * (1.0 + SAME_OBJECTIVE_RTOL)
     best = min(records, key=lambda r: (r.objective > close or r.status != STATUS_CONVERGED,
                                        r.objective))
-    return SolveResult(
-        solution=best.solution,
-        objective=best.objective,
-        grad_norm=best.grad_norm,
-        iterations=best.iterations,
-        status=best.status,
-        restarts=records,
-    )
+    return SolveResult(**vars(best), restarts=records)

@@ -72,15 +72,6 @@ def qinv(q) -> np.ndarray:
     return qconj(q) / n2
 
 
-def normalized(q) -> np.ndarray:
-    """q / |q|, raising ZeroMagnitude for (near-)zero input."""
-    q = _as_quat(q)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(n <= ZERO_MAGNITUDE):
-        raise ZeroMagnitude("cannot normalize a zero quaternion")
-    return q / n
-
-
 def ensure_unit(q, tol: float = UNIT_NORMALIZE_TOL) -> np.ndarray:
     """Validate that q is finite and unit within tol; return it exactly
     normalized."""

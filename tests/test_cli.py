@@ -178,6 +178,8 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
         ["gen", "--problem", "handeye", "--sigma", "-1"],
         ["calibrate", "PROBLEM", "--tol", "0"],
         ["probe", "--deltas", "0"],
+        ["calibrate", "PROBLEM", "--max-iters", "-1"],
+        ["calibrate", "PROBLEM", "--restarts", "-3"],
     ],
 )
 def test_invalid_option_value_exit_code(tmp_path, capsys, argv):

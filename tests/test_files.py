@@ -95,6 +95,29 @@ def test_truth_roundtrip(tmp_path):
     np.testing.assert_array_equal(files.parse_truth(indexed), truth)
 
 
+_POSE = "1 0 0 0 0.5 0 0"
+
+
+@pytest.mark.parametrize(
+    "parse,content,fragment",
+    [
+        (files.parse_truth, f"TRUTH -1 {_POSE}\n", "negative"),
+        (files.parse_solution, f"STATUS converged\nVERTEX -2 {_POSE}\n", "negative"),
+        (files.parse_truth, f"TRUTH 2 {_POSE}\n", "index 0 is missing"),
+        (files.parse_solution, f"VERTEX 0 {_POSE}\nVERTEX 1 {_POSE}\nVERTEX 0 {_POSE}\n",
+         "index 0 is repeated"),
+        (files.parse_solution, f"STATUS\nSOLUTION {_POSE}\n", "1 field after STATUS"),
+    ],
+    ids=["truth-negative", "vertex-negative", "truth-missing", "vertex-repeated", "bare-status"],
+)
+def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content, fragment):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    with pytest.raises(ParseError) as err:
+        parse(path)
+    assert fragment in str(err.value)
+
+
 def test_solution_roundtrip(tmp_path):
     problem, _ = gen_handeye(m=4, seed=4)
     result = opt.solve(problem, opt.SolverConfig(seed=0, restarts=2))

@@ -1,4 +1,5 @@
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -292,6 +293,15 @@ def test_solve_uses_and_validates_init():
         opt.solve(problem, init=np.zeros((3, 7)))
 
 
+@pytest.mark.parametrize("block, value", [(0, np.nan), (5, np.inf), (6, np.nan)])
+def test_nonfinite_init_is_infeasible(block, value):
+    problem, x_true = gen_handeye(m=5, seed=16)
+    bad = x_true[None].copy()
+    bad[0, block] = value
+    with pytest.raises(InfeasibleInit):
+        opt.solve(problem, init=bad)
+
+
 def test_nonfinite_objective_raises():
     # translations large enough to overflow the squared residuals
     a = np.array([[1.0, 0, 0, 0, 1e200, 0, 0]])
@@ -308,6 +318,12 @@ def test_restart_records_and_early_stop():
     result = opt.solve(problem, opt.SolverConfig(seed=0, restarts=10))
     assert 1 <= len(result.restarts) <= 10
     assert min(r.objective for r in result.restarts) == result.objective
+    # the result is the chosen restart's record plus the list of all of them
+    assert isinstance(result, opt.RestartRecord)
+    chosen = [r for r in result.restarts if r.solution is result.solution]
+    assert len(chosen) == 1
+    assert (chosen[0].objective, chosen[0].grad_norm, chosen[0].iterations, chosen[0].status) == (
+        result.objective, result.grad_norm, result.iterations, result.status)
 
 
 def test_problem_validation():
@@ -322,6 +338,76 @@ def test_problem_validation():
         )  # self loop
     with pytest.raises(ValueError):
         opt.PoseGraphProblem(n=3, edges=[[0, 5]], measurements=_rand_auq(1))
+
+
+def _reference_component_labels(n, edges):
+    """Lowest vertex of the weakly connected component of every vertex."""
+    adj = [[] for _ in range(n)]
+    for i, j in edges.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    labels = np.full(n, -1)
+    for root in range(n):
+        if labels[root] >= 0:
+            continue
+        labels[root] = root
+        queue = deque([root])
+        while queue:
+            for k in adj[queue.popleft()]:
+                if labels[k] < 0:
+                    labels[k] = root
+                    queue.append(k)
+    return labels
+
+
+def _reference_tree_guess(problem, gauge):
+    """Measurements chained by one breadth-first search from all gauge vertices."""
+    x = np.tile(aug.identity(), (problem.n, 1))
+    adj = [[] for _ in range(problem.n)]
+    for k, (i, j) in enumerate(problem.edges):
+        adj[i].append((j, k, True))
+        adj[j].append((i, k, False))
+    seen = set(gauge.tolist())
+    queue = deque(gauge.tolist())
+    while queue:
+        i = queue.popleft()
+        for j, k, forward in adj[i]:
+            if j in seen:
+                continue
+            y = problem.measurements[k]
+            x[j] = aug.compose(x[i], y if forward else aug.auq_inverse(y))
+            seen.add(j)
+            queue.append(j)
+    return x
+
+
+def test_gauge_and_tree_match_a_reference_walk():
+    """The construction walk gives the gauge, the spanning-tree guess and the
+    disconnected-graph warning of separate component and tree searches, on
+    random graphs with several components, isolated vertices and any anchor."""
+    rng = np.random.default_rng(41)
+    disconnected = 0
+    for _ in range(250):
+        n = int(rng.integers(2, 13))
+        m = int(rng.integers(0, n + 3))
+        edges = rng.integers(0, n, (m, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]].reshape(-1, 2)
+        anchor = int(rng.integers(0, n))
+        labels = _reference_component_labels(n, edges)
+        roots = np.unique(labels[edges.ravel()])
+        gauge = np.sort(np.append(roots[roots != labels[anchor]], anchor))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            problem = opt.PoseGraphProblem(
+                n=n, edges=edges, measurements=_rand_auq(len(edges), rng=rng).reshape(-1, 7),
+                anchor=anchor,
+            )
+        connected = bool(np.all(labels == labels[0]))
+        disconnected += not connected
+        assert [w.category for w in caught] == ([] if connected else [UserWarning])
+        np.testing.assert_array_equal(problem.gauge, gauge)
+        assert problem.initial_guess().tobytes() == _reference_tree_guess(problem, gauge).tobytes()
+    assert 50 <= disconnected <= 200  # both kinds of graph are exercised
 
 
 def test_disconnected_graph_warns():
