@@ -28,22 +28,27 @@ drives xe to the identity.  Two closed-loop integrations are provided:
   the uniform exponential envelope above does not hold for it.
 
 Both share the quaternion slot and differ only in the weight, 1 or 1/2,
-on (we . we) te, so one fixed-step RK4 kernel on (B, 7) error rows
-serves both and every run: integrate is its B = 1 case, which keeps
-only the states and renormalization residuals in the loop and derives
-theta_e, V, we and the log-branch flag from them after the loop;
-integrate_batch records V per step.
+on (we . we) te, so one fixed-step RK4 kernel on the seven error columns
+(p0, p1, p2, p3, t1, t2, t3) serves both and every run.  integrate runs
+it on Python floats and derives theta_e, V, we and the log-branch flag
+from the kept states after the loop; integrate_batch runs the same
+arithmetic on (B,) arrays and derives V from blocks of kept states.
+atan2 is numpy's on both paths, so B = 1 agrees to the last bit.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import augmented as aug
 from . import quaternion as quat
 from .errors import StepDiverged
+from .tolerances import AXIS_EPS
 
 DYNAMICS_EXPONENTIAL = "exponential"
 DYNAMICS_TWIST = "twist"
@@ -183,42 +188,55 @@ def _lyapunov_of(theta, te, weights: LyapunovWeights):
 _WW_WEIGHT = {DYNAMICS_EXPONENTIAL: 1.0, DYNAMICS_TWIST: 0.5}
 
 
-def _closed_loop_derivative(xe, kr, kt, ww_weight: float) -> np.ndarray:
-    """Derivative of the closed loop on (B, 7) error rows.
+# The kernel's operations beyond + - * / on float and on (B,) array columns;
+# axis_scale is theta / |pv|, 0 on the log's degenerate axis.  math.atan2
+# differs from np.arctan2 in the last ulp on some inputs, hence numpy's.
+_FLOAT_OPS = SimpleNamespace(
+    sqrt=math.sqrt, atan2=lambda y, x: float(np.arctan2(y, x)),
+    axis_scale=lambda vn, th: th / vn if vn > AXIS_EPS else 0.0)
+_ARRAY_OPS = SimpleNamespace(
+    sqrt=np.sqrt, atan2=np.arctan2,
+    axis_scale=lambda vn, th: np.where(vn > AXIS_EPS, th / np.maximum(vn, AXIS_EPS), 0.0))
 
-    With h = Kr theta_e = -we / 2, both dynamics share the rotation slot
+
+def _closed_loop_derivative(xe, kr, kt, ww_weight: float, ops) -> tuple:
+    """Derivative of the closed loop on the seven error columns xe.
+
+    xe, kr and kt are columns of Python floats or of (B,) arrays.  With
+    h = Kr theta_e = -we / 2, both dynamics share the rotation slot
     (1/2) pe [0, we] = [pv . h, h x pv - p0 h]; the translation slot
     -Kt te + (we . te) we - c (we . we) te reads
     4 (h . te) h - (Kt + 4 c h . h) te with c = ww_weight.
     """
-    p0, pv, t = xe[:, :1], xe[:, 1:4], xe[:, 4:]
-    h = kr * quat._log_vec(xe[:, :4])
-    out = np.empty_like(xe)
-    out[:, 0] = np.einsum("bi,bi->b", pv, h)
-    out[:, 1] = h[:, 1] * xe[:, 3] - h[:, 2] * xe[:, 2]
-    out[:, 2] = h[:, 2] * xe[:, 1] - h[:, 0] * xe[:, 3]
-    out[:, 3] = h[:, 0] * xe[:, 2] - h[:, 1] * xe[:, 1]
-    out[:, 1:4] -= p0 * h
-    ht = np.einsum("bi,bi->b", h, t)[:, None]
-    hh = np.einsum("bi,bi->b", h, h)[:, None]
-    out[:, 4:] = (4.0 * ht) * h - (kt + (4.0 * ww_weight) * hh) * t
-    return out
+    p0, p1, p2, p3, t1, t2, t3 = xe
+    vn = ops.sqrt(p1 * p1 + p2 * p2 + p3 * p3)
+    s = ops.axis_scale(vn, ops.atan2(vn, p0))
+    h1, h2, h3 = kr[0] * (p1 * s), kr[1] * (p2 * s), kr[2] * (p3 * s)
+    ht = 4.0 * (h1 * t1 + h2 * t2 + h3 * t3)
+    g = 4.0 * ww_weight * (h1 * h1 + h2 * h2 + h3 * h3)
+    return (
+        p1 * h1 + p2 * h2 + p3 * h3,
+        h2 * p3 - h3 * p2 - p0 * h1,
+        h3 * p1 - h1 * p3 - p0 * h2,
+        h1 * p2 - h2 * p1 - p0 * h3,
+        ht * h1 - (kt[0] + g) * t1,
+        ht * h2 - (kt[1] + g) * t2,
+        ht * h3 - (kt[2] + g) * t3,
+    )
 
 
-def _rk4_step(xe, kr, kt, dt, ww_weight):
-    """One classical Runge-Kutta step plus renormalization.
-
-    Returns the renormalized state and the pre-normalization norm residual.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _closed_loop_derivative(xe, kr, kt, ww_weight)
-        k2 = _closed_loop_derivative(xe + 0.5 * dt * k1, kr, kt, ww_weight)
-        k3 = _closed_loop_derivative(xe + 0.5 * dt * k2, kr, kt, ww_weight)
-        k4 = _closed_loop_derivative(xe + dt * k3, kr, kt, ww_weight)
-        out = xe + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = np.sqrt(np.einsum("bi,bi->b", out[:, :4], out[:, :4]))
-        out[:, :4] /= norm[:, None]
-    return out, np.abs(norm - 1.0)
+def _rk4_step(xe, kr, kt, dt, ww_weight, ops):
+    """One classical RK4 step; returns the renormalized columns and the
+    pre-normalization norm residual."""
+    k1 = _closed_loop_derivative(xe, kr, kt, ww_weight, ops)
+    k2 = _closed_loop_derivative([x + 0.5 * dt * k for x, k in zip(xe, k1)], kr, kt, ww_weight, ops)
+    k3 = _closed_loop_derivative([x + 0.5 * dt * k for x, k in zip(xe, k2)], kr, kt, ww_weight, ops)
+    k4 = _closed_loop_derivative([x + dt * k for x, k in zip(xe, k3)], kr, kt, ww_weight, ops)
+    p0, p1, p2, p3, t1, t2, t3 = [
+        x + dt / 6.0 * (a + d + 2.0 * (b + c)) for x, a, b, c, d in zip(xe, k1, k2, k3, k4)
+    ]
+    norm = ops.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+    return (p0 / norm, p1 / norm, p2 / norm, p3 / norm, t1, t2, t3), abs(norm - 1.0)
 
 
 def _start(x0, xd, dt: float, steps: int, dynamics: str):
@@ -234,18 +252,24 @@ def _start(x0, xd, dt: float, steps: int, dynamics: str):
     return error_auq(x0, xd), _WW_WEIGHT[dynamics]
 
 
-def _run(xe, kr, kt, dt, steps, ww_weight, on_step):
+def _run(xe, kr, kt, dt, steps, ww_weight, ops, on_step):
     """The RK4 loop shared by integrate and integrate_batch.
 
-    Advances the (B, 7) error rows xe by `steps` steps, calling
-    on_step(i, state, residual) after each; raises StepDiverged at the
-    first step whose state is not finite.
+    Calls on_step(i, state, residual) on the start (i = 0) and after each
+    step; raises StepDiverged at the first step whose state is not finite
+    or whose float arithmetic raises where arrays would turn inf or nan.
     """
-    for i in range(1, steps + 1):
-        xe, residual = _rk4_step(xe, kr, kt, dt, ww_weight)
-        if not np.isfinite(xe).all():
-            raise StepDiverged(f"non-finite state at step {i}")
-        on_step(i, xe, residual)
+    on_step(0, xe, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            try:
+                xe, residual = _rk4_step(xe, kr, kt, dt, ww_weight, ops)
+                diverged = not np.isfinite(xe).all()
+            except ArithmeticError:
+                diverged = True
+            if diverged:
+                raise StepDiverged(f"non-finite state at step {i}")
+            on_step(i, xe, residual)
     return xe
 
 
@@ -262,19 +286,18 @@ def integrate(
 
     The quaternion part is renormalized after every step and residuals
     recorded; StepDiverged is raised if the state leaves the finite range.
-    The loop keeps only the states; theta, V, we and the branch flag are
-    derived from them afterwards.
+    The loop steps on Python floats and keeps only the states; theta, V,
+    we and the branch flag are derived from them afterwards.
     """
     xe, ww_weight = _start(x0, xd, dt, steps, dynamics)
-    states = np.empty((steps + 1, 7))
-    renorm = np.zeros(steps + 1)
-    states[0] = xe
+    states, renorm = array("d"), array("d")  # flat and compact, unlike lists of tuples
 
     def keep(i, state, residual):
-        states[i] = state[0]
-        renorm[i] = residual[0]
+        states.extend(state)
+        renorm.append(residual)
 
-    _run(xe.reshape(1, 7), gains.kr, gains.kt, dt, steps, ww_weight, keep)
+    _run(xe.tolist(), gains.kr.tolist(), gains.kt.tolist(), dt, steps, ww_weight, _FLOAT_OPS, keep)
+    states = np.frombuffer(states).reshape(steps + 1, 7)
     theta = quat.qlog_vec(states[:, :4])
     te = states[:, 4:].copy()
     return ControlTrace(
@@ -285,7 +308,7 @@ def integrate(
         V=_lyapunov_of(theta, te, weights),
         we=-2.0 * gains.kr * theta,
         dt=dt,
-        renorm=renorm,
+        renorm=np.frombuffer(renorm),
         near_branch=np.linalg.norm(theta, axis=-1) >= np.pi - LOG_BRANCH_MARGIN,
     )
 
@@ -302,22 +325,29 @@ def integrate_batch(
 ) -> EnsembleResult:
     """Integrate a batch of independent closed loops, tracing only V.
 
-    x0, xd have shape (B, 7); kr, kt shape (B, 3).  Much faster than B
-    separate integrate calls; used by the decay-bound verification.
+    x0, xd have shape (B, 7) with B >= 1; kr, kt broadcast to (B, 3).
+    Used by the decay-bound verification.
     """
+    x0, xd = np.asarray(x0, dtype=float), np.asarray(xd, dtype=float)
+    if x0.ndim != 2 or len(x0) < 1 or x0.shape[1] != 7 or xd.shape != x0.shape:
+        raise ValueError(f"x0 and xd must have shape (B, 7), got {x0.shape} and {xd.shape}")
     xe, ww_weight = _start(x0, xd, dt, steps, dynamics)
-    kr = np.asarray(kr, dtype=float)
-    kt = np.asarray(kt, dtype=float)
+    kr, kt = (np.broadcast_to(np.asarray(k, dtype=float), (len(xe), 3)) for k in (kr, kt))
     if not (np.all(kr > 0.0) and np.all(kt > 0.0)):
         raise ValueError("gain entries must be strictly positive")
 
-    V = np.zeros((xe.shape[0], steps + 1))
-    max_renorm = np.zeros(xe.shape[0])
-    V[:, 0] = lyapunov(xe, weights)
+    V, max_renorm = np.empty((len(xe), steps + 1)), np.zeros(len(xe))
+    block = np.empty((min(steps + 1, 64), 7, len(xe)))  # states whose V is still to derive
+    err = np.geterr()  # V is derived under the caller's settings, not under _run's
 
     def keep(i, state, residual):
-        V[:, i] = lyapunov(state, weights)
         np.maximum(max_renorm, residual, out=max_renorm)
+        j = i % len(block)
+        block[j] = state
+        if j == len(block) - 1 or i == steps:
+            with np.errstate(**err):
+                V[:, i - j : i + 1] = lyapunov(block[: j + 1].transpose(0, 2, 1), weights).T
 
-    xe = _run(xe, kr, kt, dt, steps, ww_weight, keep)
-    return EnsembleResult(V=V, xe_final=xe, max_renorm=max_renorm, dt=dt)
+    columns = _run(tuple(xe.T.copy()), tuple(kr.T.copy()), tuple(kt.T.copy()), dt, steps,
+                   ww_weight, _ARRAY_OPS, keep)
+    return EnsembleResult(V=V, xe_final=np.stack(columns, axis=-1), max_renorm=max_renorm, dt=dt)

@@ -125,7 +125,10 @@ def parse_problem_file(path, world: bool = False) -> Problem:
         elif keyword == "VERTEX":
             if len(rest) != 8:
                 raise ParseError(f"expected 8 fields after VERTEX, got {len(rest)}", path, line_no)
-            vertices[_int(rest[0], path, line_no)] = _floats(rest[1:], 7, path, line_no)
+            i = _int(rest[0], path, line_no)
+            if i in vertices:
+                raise ParseError(f"pose index {i} is repeated", path, line_no)
+            vertices[i] = _floats(rest[1:], 7, path, line_no)
         else:
             raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
 

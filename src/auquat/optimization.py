@@ -185,8 +185,9 @@ class PoseGraphProblem:
                         queue.append(j)
         self.gauge = np.array(sorted(gauge))
         if len(self._arcs) < self.n - 1:
+            # stacklevel 3: past the dataclass __init__ to its caller
             warnings.warn("pose graph is not weakly connected; solution is not unique",
-                          stacklevel=2)
+                          stacklevel=3)
 
     @property
     def n_blocks(self) -> int:

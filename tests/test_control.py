@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -225,16 +227,84 @@ def test_decay_envelope_small_ensemble():
     assert res.max_renorm.max() <= 1e-8
 
 
+# error rotations [cos th, l sin th] that take each branch of the log
+_START_ROTATIONS = {
+    "identity": [1.0, 0.0, 0.0, 0.0],
+    "near-pi": [np.cos(np.pi - 1e-7), 0.0, np.sin(np.pi - 1e-7), 0.0],
+    "negative-scalar": [-0.6, 0.0, 0.48, 0.64],
+    "tiny-theta": [np.cos(1e-9), np.sin(1e-9) * 0.6, 0.0, np.sin(1e-9) * 0.8],
+    "random": None,
+}
+
+
 def test_single_trace_matches_batch():
-    rng = np.random.default_rng(3)
-    x0, xd = _rand_auq(rng=rng), _rand_auq(rng=rng)
-    gains = _rand_gains(rng)
-    trace = ctl.integrate(x0, xd, gains, 1e-3, 200)
-    res = ctl.integrate_batch(
-        x0[None], xd[None], gains.kr[None], gains.kt[None], 1e-3, 200
-    )
-    np.testing.assert_allclose(trace.V, res.V[0], atol=0)
-    np.testing.assert_allclose(trace.xe[-1], res.xe_final[0], atol=0)
+    # integrate steps on Python floats, integrate_batch on (1,) arrays:
+    # the same arithmetic must give the same bits
+    for dynamics in (ctl.DYNAMICS_EXPONENTIAL, ctl.DYNAMICS_TWIST):
+        for start, rotation in _START_ROTATIONS.items():
+            rng = np.random.default_rng(3)
+            x0, xd = _rand_auq(rng=rng), _rand_auq(rng=rng)
+            if rotation is not None:
+                x0, xd[:4] = aug.IDENTITY, rotation
+            gains = _rand_gains(rng)
+            trace = ctl.integrate(x0, xd, gains, 1e-3, 200, dynamics=dynamics)
+            res = ctl.integrate_batch(
+                x0[None], xd[None], gains.kr[None], gains.kt[None], 1e-3, 200, dynamics=dynamics
+            )
+            case = f"{start} start, {dynamics} dynamics"
+            np.testing.assert_allclose(trace.V, res.V[0], atol=0, err_msg=case)
+            np.testing.assert_allclose(trace.xe[-1], res.xe_final[0], atol=0, err_msg=case)
+
+
+def test_single_plant_kernel_runs_on_floats(monkeypatch):
+    # the float kernel takes no log of an array; the only call left is
+    # the one that derives theta from all kept states after the loop
+    calls = []
+    log_vec = qt._log_vec
+
+    def counted(q):
+        calls.append(q.shape)
+        return log_vec(q)
+
+    monkeypatch.setattr(qt, "_log_vec", counted)
+    x0, xd, gains = _rand_auq(), _rand_auq(), _rand_gains()
+    counts = []
+    for steps in (10, 1000):
+        calls.clear()
+        ctl.integrate(x0, xd, gains, 1e-3, steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
+
+
+def test_batch_gains_of_shape_3_are_shared():
+    rng = np.random.default_rng(8)
+    x0, xd = _rand_auq(4, rng), _rand_auq(4, rng)
+    kr, kt = rng.uniform(0.2, 2.0, (2, 3))
+    shared = ctl.integrate_batch(x0, xd, kr, kt, 1e-3, 20)
+    tiled = ctl.integrate_batch(x0, xd, np.tile(kr, (4, 1)), np.tile(kt, (4, 1)), 1e-3, 20)
+    np.testing.assert_array_equal(shared.V, tiled.V)
+
+
+@pytest.mark.parametrize(
+    "x0_shape,xd_shape,kr_shape",
+    [
+        ((7,), (7,), (3,)),
+        ((0, 7), (0, 7), (3,)),
+        ((2, 7), (3, 7), (3,)),
+        ((1, 2, 7), (1, 2, 7), (3,)),
+        ((2, 6), (2, 6), (3,)),
+        ((2, 7), (2, 7), (2, 4)),
+        ((2, 7), (2, 7), (3, 3)),
+    ],
+    ids=["single-row", "empty", "mismatched-rows", "3d", "six-wide", "gain-width", "gain-rows"],
+)
+def test_integrate_batch_rejects_bad_shapes(x0_shape, xd_shape, kr_shape):
+    def poses(shape):
+        return np.broadcast_to(aug.IDENTITY, shape[:-1] + (7,))[..., : shape[-1]].copy()
+
+    with pytest.raises(ValueError):
+        ctl.integrate_batch(poses(x0_shape), poses(xd_shape), np.ones(kr_shape), np.ones(3),
+                            1e-3, 5)
 
 
 def test_twist_dynamics_can_grow_transiently():
@@ -278,6 +348,36 @@ def test_near_branch_flagging():
 def test_diverging_step_raises():
     with pytest.raises(StepDiverged):
         ctl.integrate(_rand_auq(), _rand_auq(), _rand_gains(), dt=1e300, steps=5)
+
+
+@pytest.mark.parametrize("dynamics", [ctl.DYNAMICS_EXPONENTIAL, ctl.DYNAMICS_TWIST])
+@pytest.mark.parametrize("dt,step", [(1e300, 1), (1e10, 8)])
+def test_divergence_step_is_the_same_on_floats_and_arrays(dt, step, dynamics):
+    # the step indices are those of the array kernel the float path replaced
+    rng = np.random.default_rng(5)
+    x0, xd, gains = _rand_auq(rng=rng), _rand_auq(rng=rng), _rand_gains(rng)
+    message = f"non-finite state at step {step}$"
+    with pytest.raises(StepDiverged, match=message):
+        ctl.integrate(x0, xd, gains, dt, 20, dynamics=dynamics)
+    with pytest.raises(StepDiverged, match=message):
+        ctl.integrate_batch(x0[None], xd[None], gains.kr, gains.kt, dt, 20, dynamics=dynamics)
+
+
+def test_batch_lyapunov_overflow_warns():
+    # the RK4 loop ignores overflow; V of a finite state is derived outside it
+    xd = aug.aq(qt.IDENTITY, [1e200, 0.0, 0.0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        ctl.integrate_batch(aug.IDENTITY[None], xd[None], np.ones(3), np.ones(3), 1e-3, 3)
+
+
+def test_float_arithmetic_error_is_a_diverged_step():
+    # Python floats raise ZeroDivisionError where arrays give nan: here a
+    # square root stubbed to 0 makes the renormalization norm 0
+    ops = SimpleNamespace(sqrt=lambda x: 0.0 * x, atan2=ctl._FLOAT_OPS.atan2,
+                          axis_scale=ctl._FLOAT_OPS.axis_scale)
+    xe = tuple(_rand_auq().tolist())
+    with pytest.raises(StepDiverged, match="non-finite state at step 1$"):
+        ctl._run(xe, (1.0,) * 3, (1.0,) * 3, 1e-3, 5, 1.0, ops, lambda *args: None)
 
 
 def test_integrate_rejects_bad_dt():
@@ -331,7 +431,12 @@ def _assert_matches(got, want):
 
 def test_kernel_derivative_matches_group_ode():
     xe, kr, kt = _kernel_states(np.random.default_rng(11))
-    got = ctl._closed_loop_derivative(xe, kr, kt, ctl._WW_WEIGHT[ctl.DYNAMICS_TWIST])
+    got = np.stack(
+        ctl._closed_loop_derivative(
+            tuple(xe.T), tuple(kr.T), tuple(kt.T), ctl._WW_WEIGHT[ctl.DYNAMICS_TWIST], ctl._ARRAY_OPS
+        ),
+        axis=-1,
+    )
     for b in range(len(xe)):
         xi = ctl.proportional_control(xe[b], ctl.Gains(kr[b], kt[b]))
         _assert_matches(got[b], ctl.state_derivative(xe[b], xi))
@@ -339,7 +444,13 @@ def test_kernel_derivative_matches_group_ode():
 
 def test_kernel_derivative_matches_exponential_closed_form():
     xe, kr, kt = _kernel_states(np.random.default_rng(12))
-    got = ctl._closed_loop_derivative(xe, kr, kt, ctl._WW_WEIGHT[ctl.DYNAMICS_EXPONENTIAL])
+    got = np.stack(
+        ctl._closed_loop_derivative(
+            tuple(xe.T), tuple(kr.T), tuple(kt.T), ctl._WW_WEIGHT[ctl.DYNAMICS_EXPONENTIAL],
+            ctl._ARRAY_OPS,
+        ),
+        axis=-1,
+    )
     p, t = xe[:, :4], xe[:, 4:]
     w = -2.0 * kr * qt.qlog_vec(p)
     wt = np.sum(w * t, axis=-1, keepdims=True)

@@ -118,6 +118,17 @@ def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content,
     assert fragment in str(err.value)
 
 
+def test_problem_reader_rejects_repeated_vertex(tmp_path):
+    # a second VERTEX 0 record used to replace the first without a word
+    path = tmp_path / "graph.txt"
+    path.write_text(
+        "VERTEX 0 1 0 0 0 5 0 0\nVERTEX 0 1 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 1 0 0\n"
+    )
+    with pytest.raises(ParseError, match="pose index 0 is repeated") as err:
+        files.parse_problem_file(path)
+    assert err.value.line == 2
+
+
 def test_solution_roundtrip(tmp_path):
     problem, _ = gen_handeye(m=4, seed=4)
     result = opt.solve(problem, opt.SolverConfig(seed=0, restarts=2))

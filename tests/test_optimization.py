@@ -417,6 +417,13 @@ def test_disconnected_graph_warns():
         opt.PoseGraphProblem(n=3, edges=edges, measurements=y.reshape(1, 7))
 
 
+def test_disconnected_graph_warning_names_the_caller():
+    y = _rand_auq(1).reshape(1, 7)
+    with pytest.warns(UserWarning) as record:
+        opt.PoseGraphProblem(n=3, edges=np.array([[0, 1]]), measurements=y)
+    assert record[0].filename == __file__
+
+
 def test_connected_graph_does_not_warn():
     problem, _ = gen_posegraph(n=4, loop_edges=2, seed=18)
     with warnings.catch_warnings():
