@@ -1,12 +1,15 @@
 """Batch command-line interface.
 
 Subcommands: gen, calibrate, calibrate-world, slam, simulate, probe.
-All outputs are deterministic for a fixed seed.  calibrate,
-calibrate-world and slam run up to --restarts tangent-space
-Gauss-Newton loops of at most --max-iters iterations each.
-Exit codes: 0 success, 1 I/O failure, 2 malformed input file or invalid
-option value, 3 solver did not converge (the solution file is still
-written) or simulation diverged (no trace is written).
+All outputs are deterministic for a fixed seed.  calibrate and
+calibrate-world read a file of PAIR records, slam one of EDGE records.
+Each runs up to --restarts tangent-space Gauss-Newton loops of at most
+--max-iters iterations each and stops at the first whose gradient norm
+is at most --tol.
+Exit codes: 0 success, 1 I/O failure, 2 malformed input file, wrong
+kind of problem file or invalid option value, 3 solver did not converge
+(the solution file is still written) or simulation diverged (no trace
+is written).
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from . import __version__, files
 from . import generation as gen
 from . import motion
 from .control import Gains, LyapunovWeights, integrate
-from .errors import StepDiverged
+from .errors import ParseError, StepDiverged
 from .generation import NoiseModel
-from .optimization import STATUS_CONVERGED, SolverConfig, solve
+from .optimization import STATUS_CONVERGED, PoseGraphProblem, SolverConfig, solve
 
 
 def _csv_floats(count=None):
@@ -81,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--max-iters", type=int, default=60,
                        help="Gauss-Newton iterations per restart")
-        p.add_argument("--target-objective", type=float, default=1e-18)
 
     p = sub.add_parser("simulate", help="integrate the closed-loop pose error")
     p.add_argument("--start", type=_csv_floats(7), default=None, help="start pose, 7 values")
@@ -125,14 +127,13 @@ def _run_gen(args) -> int:
     return 0
 
 
-def _run_solve(args, world: bool) -> int:
-    problem = files.parse_problem_file(args.input, world=world)
+def _run_solve(args) -> int:
+    problem = files.parse_problem_file(args.input, world=args.command == "calibrate-world")
+    if isinstance(problem, PoseGraphProblem) != (args.command == "slam"):
+        wanted = "EDGE" if args.command == "slam" else "PAIR"
+        raise ParseError(f"{args.command} needs a file of {wanted} records", args.input)
     config = SolverConfig(
-        max_iters=args.max_iters,
-        grad_tol=args.tol,
-        restarts=args.restarts,
-        seed=args.seed,
-        target_objective=args.target_objective,
+        max_iters=args.max_iters, grad_tol=args.tol, restarts=args.restarts, seed=args.seed
     )
     result = solve(problem, config)
     files.write_solution(args.output, result, problem)
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _run_gen(args)
         if args.command in ("calibrate", "calibrate-world", "slam"):
-            return _run_solve(args, world=args.command == "calibrate-world")
+            return _run_solve(args)
         if args.command == "simulate":
             return _run_simulate(args)
         return _run_probe(args)

@@ -73,13 +73,14 @@ def _int(part, path, line_no) -> int:
 
 
 def _indexed_poses(rows, path) -> np.ndarray:
-    """Stack (index, pose) rows by index; the indices must be 0, ..., n - 1, each once."""
+    """Stack (index, pose, line_number) rows by index; the indices must be
+    0, ..., n - 1, each once."""
     poses: dict[int, np.ndarray] = {}
-    for i, pose in rows:
+    for i, pose, line_no in rows:
         if i < 0:
-            raise ParseError(f"pose index {i} is negative", path)
+            raise ParseError(f"pose index {i} is negative", path, line_no)
         if i in poses:
-            raise ParseError(f"pose index {i} is repeated", path)
+            raise ParseError(f"pose index {i} is repeated", path, line_no)
         poses[i] = pose
     missing = set(range(len(poses))) - poses.keys()
     if missing:
@@ -172,15 +173,16 @@ def write_truth(path, truth, indexed: bool = False) -> None:
 
 
 def parse_truth(path) -> np.ndarray:
-    rows: list[tuple[int, np.ndarray]] = []
+    rows: list[tuple[int, np.ndarray, int]] = []
     for line_no, parts in _tokens(path):
         if parts[0].upper() != "TRUTH":
             raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
         rest = parts[1:]
         if len(rest) == 8:
-            rows.append((_int(rest[0], path, line_no), _floats(rest[1:], 7, path, line_no)))
+            i, pose = _int(rest[0], path, line_no), _floats(rest[1:], 7, path, line_no)
         else:
-            rows.append((len(rows), _floats(rest, 7, path, line_no)))
+            i, pose = len(rows), _floats(rest, 7, path, line_no)
+        rows.append((i, pose, line_no))
     if not rows:
         raise ParseError("no TRUTH records found", path)
     return _indexed_poses(rows, path)
@@ -198,7 +200,7 @@ def write_solution(path, result: SolveResult, problem: Problem) -> None:
 def parse_solution(path) -> dict:
     status = None
     objective = None
-    rows: list[tuple[int, np.ndarray]] = []
+    rows: list[tuple[int, np.ndarray, int]] = []
     for line_no, parts in _tokens(path):
         keyword, rest = parts[0].upper(), parts[1:]
         if keyword == "STATUS":
@@ -208,11 +210,11 @@ def parse_solution(path) -> dict:
         elif keyword == "OBJECTIVE":
             objective = float(_floats(rest, 1, path, line_no)[0])
         elif keyword == "SOLUTION":
-            rows.append((len(rows), _floats(rest, 7, path, line_no)))
+            rows.append((len(rows), _floats(rest, 7, path, line_no), line_no))
         elif keyword == "VERTEX":
             if len(rest) != 8:
                 raise ParseError(f"expected 8 fields after VERTEX, got {len(rest)}", path, line_no)
-            rows.append((_int(rest[0], path, line_no), _floats(rest[1:], 7, path, line_no)))
+            rows.append((_int(rest[0], path, line_no), _floats(rest[1:], 7, path, line_no), line_no))
         else:
             raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
     if not rows:

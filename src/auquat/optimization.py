@@ -46,8 +46,6 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_STALLED = "stalled"
 
-SAME_OBJECTIVE_RTOL = 1e-12  # restart objectives this close reached the same minimum
-
 
 # ---------------------------------------------------------------------------
 # problems
@@ -352,10 +350,12 @@ def _auq_inverse_jac(x) -> np.ndarray:
 
 @dataclass
 class SolverConfig:
-    """Stopping rules and restart strategy.
+    """Stopping rule and restart strategy.
 
     Each restart runs at most max_iters tangent-space Gauss-Newton
-    iterations.  The retraction is fixed: quaternion blocks are
+    iterations and is converged when its tangent gradient norm is at
+    most grad_tol.  At most `restarts` restarts run; the first converged
+    one ends the solve.  The retraction is fixed: quaternion blocks are
     renormalized after every ambient update.
     """
 
@@ -363,13 +363,14 @@ class SolverConfig:
     grad_tol: float = 1e-10
     restarts: int = 10
     seed: int = 0
-    target_objective: float = 1e-18
 
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if self.max_iters < 0 or self.restarts < 0:
-            raise ValueError("max_iters and restarts must be nonnegative")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
 
 
 @dataclass
@@ -515,27 +516,17 @@ def solve(problem: Problem, config: SolverConfig | None = None, init=None) -> So
 
     Restart 0 starts from `init` when given, else from
     problem.initial_guess(); later restarts draw random feasible points
-    from config.seed.  Restarting stops early once a restart reaches
-    config.target_objective.  The lowest-objective restart is returned;
-    among restarts within SAME_OBJECTIVE_RTOL of it, a converged one is
-    preferred.
+    from config.seed.  Restarting stops at the first converged restart,
+    which is returned; if none converges, the lowest-objective one is.
     """
     cfg = config if config is not None else SolverConfig()
     rng = np.random.default_rng(cfg.seed)
-    if init is not None:
-        init = _check_init(problem, init)
-
+    x0 = problem.initial_guess() if init is None else _check_init(problem, init)
     records: list[RestartRecord] = []
-    for r in range(max(1, cfg.restarts)):
-        if r == 0:
-            x0 = init.copy() if init is not None else problem.initial_guess()
-        else:
-            x0 = _random_init(problem, rng)
-        records.append(_descend(problem, x0, cfg))
-        if records[-1].objective <= cfg.target_objective:
+    for r in range(cfg.restarts):
+        records.append(_descend(problem, x0 if r == 0 else _random_init(problem, rng), cfg))
+        if records[-1].status == STATUS_CONVERGED:
             break
-    # the lowest-objective restart, or a converged one within rounding of it
-    close = min(r.objective for r in records) * (1.0 + SAME_OBJECTIVE_RTOL)
-    best = min(records, key=lambda r: (r.objective > close or r.status != STATUS_CONVERGED,
-                                       r.objective))
+    # only the last record can be converged
+    best = min(records, key=lambda r: (r.status != STATUS_CONVERGED, r.objective))
     return SolveResult(**vars(best), restarts=records)

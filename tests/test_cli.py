@@ -127,9 +127,9 @@ def test_nonconvergence_exit_code_still_writes(tmp_path):
 
 
 def test_noisy_calibration_reports_a_converged_restart(tmp_path):
-    """The lowest-objective restart of this instance stalls just above the
-    gradient tolerance, while others converge to the same objective up to
-    rounding; the solve reports one of those."""
+    """Restarts 0-2 of this instance stall just above the gradient
+    tolerance, one of them at the lowest objective; restart 3 converges to
+    the same objective up to rounding, ends the solve and is reported."""
     problem = tmp_path / "n.txt"
     args = ["gen", "--problem", "handeye", "-m", "100", "--seed", "300"]
     noise = ["--rot-noise", "0.01", "--trans-noise", "0.01", "--noise-seed", "0"]
@@ -141,8 +141,11 @@ def test_noisy_calibration_reports_a_converged_restart(tmp_path):
     result = opt.solve(files.parse_problem_file(problem))
     lowest = min(r.objective for r in result.restarts)
     assert result.status == opt.STATUS_CONVERGED
-    assert result.objective - lowest <= opt.SAME_OBJECTIVE_RTOL * lowest
+    assert result.objective - lowest <= 1e-12 * lowest
     assert any(r.status != opt.STATUS_CONVERGED and r.objective == lowest for r in result.restarts)
+    assert len(result.restarts) == 4
+    assert all(r.status != opt.STATUS_CONVERGED for r in result.restarts[:3])
+    assert result.solution is result.restarts[3].solution
 
 
 
@@ -180,6 +183,7 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
         ["probe", "--deltas", "0"],
         ["calibrate", "PROBLEM", "--max-iters", "-1"],
         ["calibrate", "PROBLEM", "--restarts", "-3"],
+        ["calibrate", "PROBLEM", "--restarts", "0"],
     ],
 )
 def test_invalid_option_value_exit_code(tmp_path, capsys, argv):
@@ -189,6 +193,19 @@ def test_invalid_option_value_exit_code(tmp_path, capsys, argv):
     out = tmp_path / "out.txt"
     argv = [str(problem) if arg == "PROBLEM" else arg for arg in argv]
     assert main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, problem",
+    [("slam", "handeye"), ("calibrate", "posegraph"), ("calibrate-world", "posegraph")],
+)
+def test_solve_refuses_the_other_familys_file(tmp_path, capsys, command, problem):
+    path = tmp_path / "p.txt"
+    assert main(["gen", "--problem", problem, "-o", str(path)]) == 0
+    out = tmp_path / "out.txt"
+    assert main([command, str(path), "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

@@ -99,23 +99,24 @@ _POSE = "1 0 0 0 0.5 0 0"
 
 
 @pytest.mark.parametrize(
-    "parse,content,fragment",
+    "parse,content,fragment,line",
     [
-        (files.parse_truth, f"TRUTH -1 {_POSE}\n", "negative"),
-        (files.parse_solution, f"STATUS converged\nVERTEX -2 {_POSE}\n", "negative"),
-        (files.parse_truth, f"TRUTH 2 {_POSE}\n", "index 0 is missing"),
+        (files.parse_truth, f"TRUTH -1 {_POSE}\n", "negative", 1),
+        (files.parse_solution, f"STATUS converged\nVERTEX -2 {_POSE}\n", "negative", 2),
+        (files.parse_truth, f"TRUTH 2 {_POSE}\n", "index 0 is missing", None),
         (files.parse_solution, f"VERTEX 0 {_POSE}\nVERTEX 1 {_POSE}\nVERTEX 0 {_POSE}\n",
-         "index 0 is repeated"),
-        (files.parse_solution, f"STATUS\nSOLUTION {_POSE}\n", "1 field after STATUS"),
+         "index 0 is repeated", 3),
+        (files.parse_solution, f"STATUS\nSOLUTION {_POSE}\n", "1 field after STATUS", 1),
     ],
     ids=["truth-negative", "vertex-negative", "truth-missing", "vertex-repeated", "bare-status"],
 )
-def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content, fragment):
+def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content, fragment, line):
     path = tmp_path / "bad.txt"
     path.write_text(content)
     with pytest.raises(ParseError) as err:
         parse(path)
     assert fragment in str(err.value)
+    assert err.value.line == line
 
 
 def test_problem_reader_rejects_repeated_vertex(tmp_path):

@@ -243,7 +243,7 @@ def test_noisy_handeye_runs_gauss_newton_from_the_first_iteration(monkeypatch):
     monkeypatch.setattr(opt, "_descend", counted_descend)
     monkeypatch.setattr(opt, "gradient", lambda *a: pytest.fail("the solver called gradient"))
     result = opt.solve(problem, opt.SolverConfig(seed=0))
-    assert len(result.restarts) == 10
+    assert len(result.restarts) == 1
     assert per_restart == [r.iterations + 1 for r in result.restarts]
     assert sum(r.iterations for r in result.restarts) <= 150
 
@@ -324,6 +324,18 @@ def test_restart_records_and_early_stop():
     assert len(chosen) == 1
     assert (chosen[0].objective, chosen[0].grad_norm, chosen[0].iterations, chosen[0].status) == (
         result.objective, result.grad_norm, result.iterations, result.status)
+    # the first converged restart ends the solve
+    assert chosen[0] is result.restarts[-1]
+
+
+def test_no_converged_restart_returns_the_lowest_objective():
+    problem, _ = gen_handeye(m=20, seed=7, noise=NoiseModel(0.01, 0.01, 7))
+    result = opt.solve(problem, opt.SolverConfig(grad_tol=1e-30, restarts=3))
+    assert len(result.restarts) == 3
+    assert all(r.status != opt.STATUS_CONVERGED for r in result.restarts)
+    assert result.status != opt.STATUS_CONVERGED
+    assert result.objective == min(r.objective for r in result.restarts)
+    assert sum(r.solution is result.solution for r in result.restarts) == 1
 
 
 def test_problem_validation():
