@@ -48,7 +48,7 @@ import numpy as np
 from . import augmented as aug
 from . import quaternion as quat
 from .errors import StepDiverged
-from .tolerances import AXIS_EPS
+from .tolerances import AXIS_EPS, LYAPUNOV_RISE_RTOL
 
 DYNAMICS_EXPONENTIAL = "exponential"
 DYNAMICS_TWIST = "twist"
@@ -285,9 +285,12 @@ def integrate(
     """Integrate the closed loop from x0 toward xd with fixed-step RK4.
 
     The quaternion part is renormalized after every step and residuals
-    recorded; StepDiverged is raised if the state leaves the finite range.
-    The loop steps on Python floats and keeps only the states; theta, V,
-    we and the branch flag are derived from them afterwards.
+    recorded.  StepDiverged is raised if the state leaves the finite
+    range and, for exponential dynamics, if V rises by more than
+    LYAPUNOV_RISE_RTOL in one step: V never rises in exact arithmetic,
+    so dt is then past RK4's stability range for the gains.  The loop
+    steps on Python floats and keeps only the states; theta, V, we and
+    the branch flag are derived from them afterwards.
     """
     xe, ww_weight = _start(x0, xd, dt, steps, dynamics)
     states, renorm = array("d"), array("d")  # flat and compact, unlike lists of tuples
@@ -300,12 +303,19 @@ def integrate(
     states = np.frombuffer(states).reshape(steps + 1, 7)
     theta = quat.qlog_vec(states[:, :4])
     te = states[:, 4:].copy()
+    V = _lyapunov_of(theta, te, weights)
+    if dynamics == DYNAMICS_EXPONENTIAL:
+        rises = np.flatnonzero(np.diff(V) > LYAPUNOV_RISE_RTOL * V[:-1])
+        if rises.size:
+            i = rises[0] + 1
+            raise StepDiverged(f"V rose from {V[i - 1]:.6g} to {V[i]:.6g} at step {i}: "
+                               f"dt = {dt:g} is too large for the gains")
     return ControlTrace(
         time=np.arange(steps + 1) * dt,
         xe=states,
         theta=theta,
         te=te,
-        V=_lyapunov_of(theta, te, weights),
+        V=V,
         we=-2.0 * gains.kr * theta,
         dt=dt,
         renorm=np.frombuffer(renorm),

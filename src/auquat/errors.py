@@ -21,7 +21,8 @@ class ConstraintViolated(ValueError):
 
 
 class StepDiverged(RuntimeError):
-    """Integrator state became non-finite."""
+    """Integrator state became non-finite, or the Lyapunov function of
+    an exponential-dynamics run rose."""
 
 
 class InfeasibleInit(ValueError):

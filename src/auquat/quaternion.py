@@ -6,8 +6,11 @@ product convention is the Hamilton one,
 
     p q = [p0 q0 - p.q,  p0 q + q0 p + p x q],
 
-and the rotation matrix derived from it maps R(q) t to the vector part
-of the sandwich q [0, t] q* for unit q (active rotation).
+and the rotation derived from it maps R(q) t to the vector part of the
+sandwich q [0, t] q* for unit q (active rotation).  Each formula is
+written once: the product in qmul, the rotation in rot_apply_T.  The
+matrices L(p), Rm(q) and T(v) are read off qmul and np.cross through
+constant tables, and R(q)^T off rot_apply_T applied to the unit vectors.
 """
 
 from __future__ import annotations
@@ -44,6 +47,26 @@ def qmul(p, q) -> np.ndarray:
     scalar = p0 * q0 - np.sum(pv * qv, axis=-1, keepdims=True)
     vector = p0 * qv + q0 * pv + np.cross(pv, qv)
     return np.concatenate([scalar, vector], axis=-1)
+
+
+def _table(product, n: int) -> np.ndarray:
+    """Row k holds the n x n matrix of a -> product(a, e_k), flattened, so
+    that product(a, b) = (b @ table).reshape(n, n) @ a for the bilinear
+    product on n-vectors."""
+    e = np.eye(n)
+    return np.stack([product(e, e_k).T for e_k in e]).reshape(n, n * n)
+
+
+def _from_table(v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The matrix sum_k v_k table[k]; every entry is +-v_k or 0, so exact."""
+    n = v.shape[-1]
+    return (v @ table).reshape(v.shape[:-1] + (n, n))
+
+
+_QMUL_RIGHT = _table(qmul, 4)
+_QMUL_LEFT = _table(lambda q, p: qmul(p, q), 4)
+_CROSS_RIGHT = _table(np.cross, 3)
+_E3 = np.eye(3)
 
 
 def qconj(q) -> np.ndarray:
@@ -99,30 +122,16 @@ def is_vector_quat(q, atol: float = AXIS_EPS) -> bool:
 
 def cross_matrix(v) -> np.ndarray:
     """Matrix T(v) with p x v = T(v) p  (and p x v = T(p)^T v)."""
-    v = _as_vec3(v)
-    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(v1)
-    rows = [
-        np.stack([zero, v3, -v2], axis=-1),
-        np.stack([-v3, zero, v1], axis=-1),
-        np.stack([v2, -v1, zero], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+    return _from_table(_as_vec3(v), _CROSS_RIGHT)
 
 
 def rot_matrix_T(q) -> np.ndarray:
-    """Transposed rotation matrix 2 qv qv^T + (q0^2 - qv.qv) I - 2 q0 T(qv)^T.
+    """Transposed rotation matrix R(q)^T: its column j is R(q)^T e_j.
 
     Defined for arbitrary quaternions (no normalization inside); for unit q
     the transpose R(q) is a proper rotation.
     """
-    q = _as_quat(q)
-    q0, qv = q[..., 0], q[..., 1:]
-    outer = 2.0 * qv[..., :, None] * qv[..., None, :]
-    scale = q0 * q0 - np.sum(qv * qv, axis=-1)
-    eye = np.eye(3).reshape((1,) * (q.ndim - 1) + (3, 3))
-    skew_t = np.swapaxes(cross_matrix(qv), -1, -2)
-    return outer + scale[..., None, None] * eye - 2.0 * q0[..., None, None] * skew_t
+    return np.swapaxes(rot_apply_T(_as_quat(q)[..., None, :], _E3), -1, -2)
 
 
 def rot_matrix(q) -> np.ndarray:
@@ -131,7 +140,8 @@ def rot_matrix(q) -> np.ndarray:
 
 
 def rot_apply_T(q, t) -> np.ndarray:
-    """R(q)^T t without forming the matrix."""
+    """R(q)^T t = 2 (qv.t) qv + (q0^2 - qv.qv) t - 2 q0 qv x t, without
+    forming the matrix."""
     q = _as_quat(q)
     t = _as_vec3(t)
     q0, qv = q[..., :1], q[..., 1:]
@@ -141,13 +151,8 @@ def rot_apply_T(q, t) -> np.ndarray:
 
 
 def rot_apply(q, t) -> np.ndarray:
-    """R(q) t without forming the matrix."""
-    q = _as_quat(q)
-    t = _as_vec3(t)
-    q0, qv = q[..., :1], q[..., 1:]
-    dot = np.sum(qv * t, axis=-1, keepdims=True)
-    scale = q0 * q0 - np.sum(qv * qv, axis=-1, keepdims=True)
-    return 2.0 * dot * qv + scale * t + 2.0 * q0 * np.cross(qv, t)
+    """R(q) t = R(q*)^T t without forming the matrix."""
+    return rot_apply_T(qconj(q), t)
 
 
 def qlog(q) -> np.ndarray:
@@ -210,25 +215,9 @@ def random_unit(seed=None, n: int | None = None) -> np.ndarray:
 
 def left_matrix(p) -> np.ndarray:
     """4x4 matrix L(p) with p q = L(p) q."""
-    p = _as_quat(p)
-    p0, p1, p2, p3 = (p[..., i] for i in range(4))
-    rows = [
-        np.stack([p0, -p1, -p2, -p3], axis=-1),
-        np.stack([p1, p0, -p3, p2], axis=-1),
-        np.stack([p2, p3, p0, -p1], axis=-1),
-        np.stack([p3, -p2, p1, p0], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+    return _from_table(_as_quat(p), _QMUL_LEFT)
 
 
 def right_matrix(q) -> np.ndarray:
     """4x4 matrix Rm(q) with p q = Rm(q) p."""
-    q = _as_quat(q)
-    q0, q1, q2, q3 = (q[..., i] for i in range(4))
-    rows = [
-        np.stack([q0, -q1, -q2, -q3], axis=-1),
-        np.stack([q1, q0, q3, -q2], axis=-1),
-        np.stack([q2, -q3, q0, q1], axis=-1),
-        np.stack([q3, q2, -q1, q0], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+    return _from_table(_as_quat(q), _QMUL_RIGHT)

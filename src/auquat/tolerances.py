@@ -21,3 +21,8 @@ UNIT_NORMALIZE_TOL = 1e-9
 # Scalar slot of a conjugated augmented vector quaternion above this
 # signals an arithmetic bug.
 AVQ_SCALAR_TOL = 1e-10
+
+# The Lyapunov function V of an exponential-dynamics simulation never rises
+# in exact arithmetic; a step that raises it by more than this, relative to
+# the previous V, is a diverging step.
+LYAPUNOV_RISE_RTOL = 1e-9

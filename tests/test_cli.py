@@ -173,6 +173,33 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_unstable_step_exit_code(tmp_path, capsys):
+    # RK4 is unstable at this dt for unit gains: the state stays finite,
+    # but V, which the exponential dynamics never raise, grows to ~1e266
+    out = tmp_path / "t.txt"
+    argv = ["simulate", "--start=1,0,0,0,0,0,0", "--target=0.6,0.8,0,0,0.5,-0.3,0.2",
+            "--dt", "10", "--steps", "30", "-o", str(out)]
+    assert main(argv) == 3
+    assert "at step 1: dt = 10 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--kr", "1,2"], "argument --kr: expected 3 comma-separated values"),
+        (["--start", "a,b,c,d,e,f,g"], "argument --start: could not convert"),
+    ],
+)
+def test_simulate_malformed_number_list_exit_code(tmp_path, capsys, option, message):
+    out = tmp_path / "t.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--steps", "5", *option, "-o", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

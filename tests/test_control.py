@@ -363,6 +363,19 @@ def test_divergence_step_is_the_same_on_floats_and_arrays(dt, step, dynamics):
         ctl.integrate_batch(x0[None], xd[None], gains.kr, gains.kt, dt, 20, dynamics=dynamics)
 
 
+def test_rising_lyapunov_function_is_a_diverged_step():
+    # unit gains: dt = 2.5 lies past RK4's stability interval, so the state
+    # stays finite while V, which the exponential dynamics never raise, grows
+    xd = np.array([0.6, 0.8, 0.0, 0.0, 0.5, -0.3, 0.2])
+    gains = ctl.Gains(np.ones(3), np.ones(3))
+    with pytest.raises(StepDiverged, match=r"at step 1: dt = 2\.5 is too large for the gains$"):
+        ctl.integrate(aug.IDENTITY, xd, gains, 2.5, 200)
+    assert np.all(np.diff(ctl.integrate(aug.IDENTITY, xd, gains, 2.0, 200).V) < 0.0)
+    # the twist dynamics may raise V transiently and are not checked
+    twist = ctl.integrate(aug.IDENTITY, xd, gains, 2.5, 200, dynamics=ctl.DYNAMICS_TWIST)
+    assert twist.V[1] > twist.V[0]
+
+
 def test_batch_lyapunov_overflow_warns():
     # the RK4 loop ignores overflow; V of a finite state is derived outside it
     xd = aug.aq(qt.IDENTITY, [1e200, 0.0, 0.0])

@@ -67,6 +67,10 @@ def test_comma_separated_fields_accepted(tmp_path):
         ("SIGMA 1\n", "no measurements"),
         ("PAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n", "mixed"),
         ("EDGE 0 one 1 0 0 0 0 0 0\n", "integer"),
+        ("PAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 x\n", "could not convert"),
+        ("EDGE 0 1 1 0 0 0 0 0\n", "9 fields after EDGE"),
+        ("EDGE -1 1 1 0 0 0 0 0 0\n", "nonnegative"),
+        ("EDGE 1 1 1 0 0 0 0 0 0\n", "self loop"),
     ],
 )
 def test_parse_errors(tmp_path, content, fragment):
@@ -107,8 +111,14 @@ _POSE = "1 0 0 0 0.5 0 0"
         (files.parse_solution, f"VERTEX 0 {_POSE}\nVERTEX 1 {_POSE}\nVERTEX 0 {_POSE}\n",
          "index 0 is repeated", 3),
         (files.parse_solution, f"STATUS\nSOLUTION {_POSE}\n", "1 field after STATUS", 1),
+        (files.parse_truth, f"SOLUTION {_POSE}\n", "unknown record", 1),
+        (files.parse_truth, "# no records\n", "no TRUTH records", None),
+        (files.parse_solution, f"STATUS converged\nTRUTH {_POSE}\n", "unknown record", 2),
+        (files.parse_solution, "STATUS converged\nOBJECTIVE 0\n", "no solution records", None),
+        (files.parse_solution, f"VERTEX {_POSE}\n", "8 fields after VERTEX", 1),
     ],
-    ids=["truth-negative", "vertex-negative", "truth-missing", "vertex-repeated", "bare-status"],
+    ids=["truth-negative", "vertex-negative", "truth-missing", "vertex-repeated", "bare-status",
+         "truth-unknown", "truth-empty", "solution-unknown", "solution-empty", "vertex-7-fields"],
 )
 def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content, fragment, line):
     path = tmp_path / "bad.txt"

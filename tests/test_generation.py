@@ -119,3 +119,38 @@ def test_posegraph_matches_reference_generator(n, loop_edges, seed):
     np.testing.assert_array_equal(truth, x_true)
     np.testing.assert_array_equal(problem.edges, edges)
     np.testing.assert_array_equal(problem.measurements, aug.as_auq(y))
+
+
+def _assert_within_criterion_5(solution, truth):
+    rot, trans = opt.pose_error(solution, truth)
+    assert np.max(rot) <= 0.05 and np.max(trans) <= 0.05
+
+
+def test_noisy_world_instance():
+    noise = gen.NoiseModel(rot_sigma=0.01, trans_sigma=0.01, seed=3)
+    clean, x_clean, y_clean = gen.gen_handeye_world(m=20, seed=8)
+    noisy, x_true, y_true = gen.gen_handeye_world(m=20, seed=8, noise=noise)
+    again, _, _ = gen.gen_handeye_world(m=20, seed=8, noise=noise)
+    np.testing.assert_array_equal(again.a, noisy.a)
+    np.testing.assert_array_equal(again.b, noisy.b)
+    np.testing.assert_array_equal(x_true, x_clean)
+    np.testing.assert_array_equal(y_true, y_clean)
+    # the noise moves every a and every b
+    assert np.all(np.any(noisy.a != clean.a, axis=1))
+    assert np.all(np.any(noisy.b != clean.b, axis=1))
+    result = opt.solve(noisy, opt.SolverConfig(seed=0, restarts=4))
+    _assert_within_criterion_5(result.solution[0], x_true)
+    _assert_within_criterion_5(result.solution[1], y_true)
+
+
+def test_noisy_posegraph_instance():
+    noise = gen.NoiseModel(rot_sigma=0.01, trans_sigma=0.01, seed=4)
+    clean, x_clean = gen.gen_posegraph(n=12, loop_edges=12, seed=9)
+    noisy, x_true = gen.gen_posegraph(n=12, loop_edges=12, seed=9, noise=noise)
+    again, _ = gen.gen_posegraph(n=12, loop_edges=12, seed=9, noise=noise)
+    np.testing.assert_array_equal(again.measurements, noisy.measurements)
+    np.testing.assert_array_equal(x_true, x_clean)
+    np.testing.assert_array_equal(noisy.edges, clean.edges)
+    assert np.all(np.any(noisy.measurements != clean.measurements, axis=1))
+    result = opt.solve(noisy, opt.SolverConfig(seed=0, restarts=4))
+    _assert_within_criterion_5(result.solution, x_true)

@@ -195,6 +195,77 @@ def test_rot_matrix_conjugate_transposes():
 
 
 # ---------------------------------------------------------------------------
+# matrices read off the products, against the products and the closed forms
+
+
+def _with_zeros(shape):
+    x = RNG.standard_normal(shape)
+    x[RNG.random(shape) < 0.25] = 0.0
+    return x
+
+
+def _rot_apply_closed_form(q, t):
+    """R(q) t written out with its own sign on the cross term."""
+    q0, qv = q[..., :1], q[..., 1:]
+    dot = np.sum(qv * t, axis=-1, keepdims=True)
+    scale = q0 * q0 - np.sum(qv * qv, axis=-1, keepdims=True)
+    return 2.0 * dot * qv + scale * t + 2.0 * q0 * np.cross(qv, t)
+
+
+def _rot_matrix_T_closed_form(q):
+    """2 qv qv^T + (q0^2 - qv.qv) I - 2 q0 T(qv)^T with T written entry by entry."""
+    q0, qv = q[..., 0], q[..., 1:]
+    v1, v2, v3 = qv[..., 0], qv[..., 1], qv[..., 2]
+    zero = np.zeros_like(v1)
+    skew = np.stack(
+        [
+            np.stack([zero, v3, -v2], axis=-1),
+            np.stack([-v3, zero, v1], axis=-1),
+            np.stack([v2, -v1, zero], axis=-1),
+        ],
+        axis=-2,
+    )
+    outer = 2.0 * qv[..., :, None] * qv[..., None, :]
+    scale = q0 * q0 - np.sum(qv * qv, axis=-1)
+    return (
+        outer
+        + scale[..., None, None] * np.eye(3)
+        - 2.0 * q0[..., None, None] * np.swapaxes(skew, -1, -2)
+    )
+
+
+def _apply(matrix, x):
+    return (matrix @ x[..., None])[..., 0]
+
+
+# (shape of the matrix argument, shape of the other factor): 1-D, batched
+# and broadcast against each other
+_SHAPES = [((), ()), ((300,), (300,)), ((4, 1), (1, 5)), ((), (6,))]
+
+
+@pytest.mark.parametrize("left_batch, right_batch", _SHAPES)
+def test_product_matrices_match_the_products(left_batch, right_batch):
+    p, q = _with_zeros(left_batch + (4,)), _with_zeros(right_batch + (4,))
+    np.testing.assert_allclose(_apply(qt.left_matrix(p), q), qt.qmul(p, q), atol=ALGEBRA_ATOL)
+    np.testing.assert_allclose(_apply(qt.right_matrix(p), q), qt.qmul(q, p), atol=ALGEBRA_ATOL)
+    v, w = _with_zeros(left_batch + (3,)), _with_zeros(right_batch + (3,))
+    np.testing.assert_allclose(_apply(qt.cross_matrix(v), w), np.cross(w, v), atol=ALGEBRA_ATOL)
+    # every entry is +-1 or 0 times one component, so the entries are exact
+    assert qt.left_matrix(p).shape == left_batch + (4, 4)
+    np.testing.assert_array_equal(
+        qt.left_matrix(p).reshape(-1, 4, 4), [_left_mult_oracle(pk) for pk in p.reshape(-1, 4)]
+    )
+
+
+@pytest.mark.parametrize("batch", [(), (300,), (4, 5)])
+def test_rotations_match_their_closed_forms(batch):
+    q, t = _with_zeros(batch + (4,)), _with_zeros(batch + (3,))
+    np.testing.assert_array_equal(qt.rot_apply(q, t), _rot_apply_closed_form(q, t))
+    np.testing.assert_array_equal(qt.rot_matrix_T(q), _rot_matrix_T_closed_form(q))
+    np.testing.assert_array_equal(qt.rot_matrix(q), np.swapaxes(_rot_matrix_T_closed_form(q), -1, -2))
+
+
+# ---------------------------------------------------------------------------
 # log / exp
 
 
