@@ -7,9 +7,10 @@ Each runs up to --restarts tangent-space Gauss-Newton loops of at most
 --max-iters iterations each and stops at the first whose gradient norm
 is at most --tol.
 Exit codes: 0 success, 1 I/O failure, 2 malformed input file, wrong
-kind of problem file or invalid option value, 3 solver did not converge
-(the solution file is still written) or simulation diverged (no trace
-is written).
+kind of problem file, invalid option value or a problem whose objective
+is not finite at the start (no solution is written), 3 solver did not
+converge (the solution file is still written) or simulation diverged
+(no trace is written).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import __version__, files
 from . import generation as gen
 from . import motion
 from .control import Gains, LyapunovWeights, integrate
-from .errors import ParseError, StepDiverged
+from .errors import NonFiniteObjective, ParseError, StepDiverged
 from .generation import NoiseModel
 from .optimization import STATUS_CONVERGED, PoseGraphProblem, SolverConfig, solve
 
@@ -177,7 +178,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _run_simulate(args)
         return _run_probe(args)
-    except ValueError as exc:  # a malformed file (ParseError) or an invalid option value
+    except (ValueError, NonFiniteObjective) as exc:
+        # a malformed file (ParseError), an invalid option value, or
+        # measurements so large that the objective overflows
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -57,9 +57,14 @@ DYNAMICS_TWIST = "twist"
 LOG_BRANCH_MARGIN = 1e-2
 
 
+def _positive_finite(values) -> bool:
+    values = np.asarray(values, dtype=float)
+    return bool(np.all((values > 0.0) & (values < np.inf)))
+
+
 @dataclass(frozen=True)
 class Gains:
-    """Diagonal controller gains, all entries strictly positive."""
+    """Diagonal controller gains, all entries positive and finite."""
 
     kr: np.ndarray
     kt: np.ndarray
@@ -69,8 +74,8 @@ class Gains:
         object.__setattr__(self, "kt", np.asarray(self.kt, dtype=float))
         if self.kr.shape != (3,) or self.kt.shape != (3,):
             raise ValueError("gains must be 3-vectors")
-        if not (np.all(self.kr > 0.0) and np.all(self.kt > 0.0)):
-            raise ValueError("gain entries must be strictly positive")
+        if not (_positive_finite(self.kr) and _positive_finite(self.kt)):
+            raise ValueError("gain entries must be positive and finite")
 
     @property
     def k_min(self) -> float:
@@ -85,8 +90,8 @@ class LyapunovWeights:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError("weights must be strictly positive")
+        if not _positive_finite([self.alpha, self.beta]):
+            raise ValueError("weights must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -241,8 +246,8 @@ def _rk4_step(xe, kr, kt, dt, ww_weight, ops):
 
 def _start(x0, xd, dt: float, steps: int, dynamics: str):
     """Validate a run; return its initial error pose and its ww_weight."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not _positive_finite(dt):
+        raise ValueError("dt must be positive and finite")
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if dynamics not in _WW_WEIGHT:
@@ -343,8 +348,8 @@ def integrate_batch(
         raise ValueError(f"x0 and xd must have shape (B, 7), got {x0.shape} and {xd.shape}")
     xe, ww_weight = _start(x0, xd, dt, steps, dynamics)
     kr, kt = (np.broadcast_to(np.asarray(k, dtype=float), (len(xe), 3)) for k in (kr, kt))
-    if not (np.all(kr > 0.0) and np.all(kt > 0.0)):
-        raise ValueError("gain entries must be strictly positive")
+    if not (_positive_finite(kr) and _positive_finite(kt)):
+        raise ValueError("gain entries must be positive and finite")
 
     V, max_renorm = np.empty((len(xe), steps + 1)), np.zeros(len(xe))
     block = np.empty((min(steps + 1, 64), 7, len(xe)))  # states whose V is still to derive

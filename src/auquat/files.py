@@ -32,13 +32,22 @@ from .optimization import (
 
 _HEADER = f"# auquat {__version__}"
 
+# Record layouts: keyword -> its forms, each (index fields, value fields),
+# told apart by their field count.  Values are floats, except STATUS's word.
+_PROBLEM = {"SIGMA": ((0, 1),), "PAIR": ((0, 14),), "EDGE": ((2, 7),), "VERTEX": ((1, 7),)}
+_TRUTH = {"TRUTH": ((0, 7), (1, 7))}
+_SOLUTION = {"STATUS": ((0, 1),), "OBJECTIVE": ((0, 1),), "SOLUTION": ((0, 7),),
+             "VERTEX": ((1, 7),)}
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
-
-def _row(values) -> str:
-    return " ".join(_fmt(v) for v in np.asarray(values, dtype=float))
+def _rows(keyword, table, indexed: int = 0):
+    """Yield one line per table row: the keyword, the first `indexed`
+    columns as integers, the rest at %.17g.  One format string serves
+    every row, so long tables format at one call per row."""
+    table = np.atleast_2d(np.asarray(table, dtype=float))
+    fields = [keyword] if keyword else []
+    row = " ".join(fields + ["%d"] * indexed + ["%.17g"] * (table.shape[1] - indexed))
+    return (row % tuple(r) for r in table.tolist())
 
 
 def _write(path, lines) -> None:
@@ -47,41 +56,51 @@ def _write(path, lines) -> None:
         fh.writelines(f"{line}\n" for line in lines)
 
 
-def _tokens(path):
-    """Yield (line_number, [token, ...]) for content lines."""
+def _records(path, layouts):
+    """Yield (line_number, keyword, indices, values) per content line.  A
+    record needs a keyword of `layouts`, the field count of one of its forms,
+    nonnegative integer indices and float values, else its line is named."""
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].replace(",", " ").strip()
-            if stripped:
-                yield line_no, stripped.split()
+            parts = line.split("#", 1)[0].replace(",", " ").split()
+            if not parts:
+                continue
+            keyword, fields = parts[0].upper(), parts[1:]
+            if keyword not in layouts:
+                raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
+            forms = {n_index + n_value: n_index for n_index, n_value in layouts[keyword]}
+            if len(fields) not in forms:
+                counts = " or ".join(map(str, forms))
+                noun = "field" if counts == "1" else "fields"
+                raise ParseError(f"expected {counts} {noun} after {keyword}, got {len(fields)}",
+                                 path, line_no)
+            n_index = forms[len(fields)]
+            indices = [int(p) if p.isdecimal() else -1 for p in fields[:n_index]]
+            if min(indices, default=0) < 0:
+                raise ParseError(f"expected nonnegative integer indices, got "
+                                 f"{' '.join(fields[:n_index])!r}", path, line_no)
+            values = fields[n_index:]
+            if keyword != "STATUS":
+                try:
+                    values = np.array([float(p) for p in values])
+                except ValueError as exc:
+                    raise ParseError(str(exc), path, line_no) from exc
+            yield line_no, keyword, indices, values
 
 
-def _floats(parts, count, path, line_no):
-    if len(parts) != count:
-        raise ParseError(f"expected {count} numeric fields, got {len(parts)}", path, line_no)
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise ParseError(str(exc), path, line_no) from exc
-
-
-def _int(part, path, line_no) -> int:
-    try:
-        return int(part)
-    except ValueError as exc:
-        raise ParseError(f"expected an integer index, got {part!r}", path, line_no) from exc
-
-
-def _indexed_poses(rows, path) -> np.ndarray:
-    """Stack (index, pose, line_number) rows by index; the indices must be
-    0, ..., n - 1, each once."""
+def _by_index(rows, path) -> dict[int, np.ndarray]:
+    """Collect (index, pose, line_number) rows by index, each index once."""
     poses: dict[int, np.ndarray] = {}
     for i, pose, line_no in rows:
-        if i < 0:
-            raise ParseError(f"pose index {i} is negative", path, line_no)
         if i in poses:
             raise ParseError(f"pose index {i} is repeated", path, line_no)
         poses[i] = pose
+    return poses
+
+
+def _indexed_poses(rows, path) -> np.ndarray:
+    """Stack (index, pose, line_number) rows; the indices must be 0, ..., n - 1."""
+    poses = _by_index(rows, path)
     missing = set(range(len(poses))) - poses.keys()
     if missing:
         raise ParseError(f"pose index {min(missing)} is missing", path)
@@ -89,16 +108,13 @@ def _indexed_poses(rows, path) -> np.ndarray:
 
 
 def write_problem(path, problem: Problem) -> None:
-    lines = [f"SIGMA {_fmt(problem.sigma)}"]
+    lines = list(_rows("SIGMA", [problem.sigma]))
     if isinstance(problem, PoseGraphProblem):
         if problem.initial is not None:
-            lines += [f"VERTEX {i} {_row(problem.initial[i])}" for i in range(problem.n)]
-        lines += [
-            f"EDGE {i} {j} {_row(y)}"
-            for (i, j), y in zip(problem.edges, problem.measurements)
-        ]
+            lines += _rows("VERTEX", np.column_stack([np.arange(problem.n), problem.initial]), 1)
+        lines += _rows("EDGE", np.column_stack([problem.edges, problem.measurements]), 2)
     else:
-        lines += [f"PAIR {_row(a)} {_row(b)}" for a, b in zip(problem.a, problem.b)]
+        lines += _rows("PAIR", np.hstack([problem.a, problem.b]))
     _write(path, lines)
 
 
@@ -107,31 +123,22 @@ def parse_problem_file(path, world: bool = False) -> Problem:
     two-unknown variant when world=True."""
     sigma = 1.0
     pairs: list[np.ndarray] = []
-    edges: list[tuple[int, int]] = []
+    edges: list[list[int]] = []
     measurements: list[np.ndarray] = []
-    vertices: dict[int, np.ndarray] = {}
-    for line_no, parts in _tokens(path):
-        keyword, rest = parts[0].upper(), parts[1:]
+    vertex_rows: list[tuple[int, np.ndarray, int]] = []
+    for line_no, keyword, indices, values in _records(path, _PROBLEM):
         if keyword == "SIGMA":
-            sigma = float(_floats(rest, 1, path, line_no)[0])
-            if not sigma > 0.0:
-                raise ParseError("sigma must be positive", path, line_no)
+            sigma = float(values[0])
+            if not 0.0 < sigma < np.inf:
+                raise ParseError("sigma must be positive and finite", path, line_no)
         elif keyword == "PAIR":
-            pairs.append(_floats(rest, 14, path, line_no))
+            pairs.append(values)
         elif keyword == "EDGE":
-            if len(rest) != 9:
-                raise ParseError(f"expected 9 fields after EDGE, got {len(rest)}", path, line_no)
-            edges.append((_int(rest[0], path, line_no), _int(rest[1], path, line_no)))
-            measurements.append(_floats(rest[2:], 7, path, line_no))
-        elif keyword == "VERTEX":
-            if len(rest) != 8:
-                raise ParseError(f"expected 8 fields after VERTEX, got {len(rest)}", path, line_no)
-            i = _int(rest[0], path, line_no)
-            if i in vertices:
-                raise ParseError(f"pose index {i} is repeated", path, line_no)
-            vertices[i] = _floats(rest[1:], 7, path, line_no)
-        else:
-            raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
+            edges.append(indices)
+            measurements.append(values)
+        else:  # VERTEX
+            vertex_rows.append((indices[0], values, line_no))
+    vertices = _by_index(vertex_rows, path)
 
     if pairs and (edges or vertices):
         raise ParseError("PAIR and EDGE/VERTEX records cannot be mixed", path)
@@ -142,10 +149,7 @@ def parse_problem_file(path, world: bool = False) -> Problem:
             return cls(a=stacked[:, :7], b=stacked[:, 7:], sigma=sigma)
         if not edges:
             raise ParseError("no measurements found", path)
-        ids = [i for e in edges for i in e] + list(vertices)
-        if min(ids) < 0:
-            raise ParseError("vertex indices must be nonnegative", path)
-        n = max(ids) + 1
+        n = max([i for e in edges for i in e] + list(vertices)) + 1
         initial = None
         if vertices:
             initial = np.tile(aug.identity(), (n, 1))
@@ -167,71 +171,49 @@ def parse_problem_file(path, world: bool = False) -> Problem:
 def write_truth(path, truth, indexed: bool = False) -> None:
     truth = np.atleast_2d(np.asarray(truth, dtype=float))
     if indexed:
-        _write(path, [f"TRUTH {i} {_row(row)}" for i, row in enumerate(truth)])
-    else:
-        _write(path, [f"TRUTH {_row(row)}" for row in truth])
+        truth = np.column_stack([np.arange(len(truth)), truth])
+    _write(path, _rows("TRUTH", truth, int(indexed)))
 
 
 def parse_truth(path) -> np.ndarray:
-    rows: list[tuple[int, np.ndarray, int]] = []
-    for line_no, parts in _tokens(path):
-        if parts[0].upper() != "TRUTH":
-            raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
-        rest = parts[1:]
-        if len(rest) == 8:
-            i, pose = _int(rest[0], path, line_no), _floats(rest[1:], 7, path, line_no)
-        else:
-            i, pose = len(rows), _floats(rest, 7, path, line_no)
-        rows.append((i, pose, line_no))
+    rows = [
+        (indices[0] if indices else k, pose, line_no)
+        for k, (line_no, _, indices, pose) in enumerate(_records(path, _TRUTH))
+    ]
     if not rows:
         raise ParseError("no TRUTH records found", path)
     return _indexed_poses(rows, path)
 
 
 def write_solution(path, result: SolveResult, problem: Problem) -> None:
-    lines = [f"STATUS {result.status}", f"OBJECTIVE {_fmt(result.objective)}"]
+    lines = [f"STATUS {result.status}", *_rows("OBJECTIVE", [result.objective])]
+    solution = result.solution
     if isinstance(problem, PoseGraphProblem):
-        lines += [f"VERTEX {i} {_row(row)}" for i, row in enumerate(result.solution)]
+        lines += _rows("VERTEX", np.column_stack([np.arange(len(solution)), solution]), 1)
     else:
-        lines += [f"SOLUTION {_row(row)}" for row in result.solution]
+        lines += _rows("SOLUTION", solution)
     _write(path, lines)
 
 
 def parse_solution(path) -> dict:
-    status = None
-    objective = None
+    status = objective = None
     rows: list[tuple[int, np.ndarray, int]] = []
-    for line_no, parts in _tokens(path):
-        keyword, rest = parts[0].upper(), parts[1:]
+    for line_no, keyword, indices, values in _records(path, _SOLUTION):
         if keyword == "STATUS":
-            if len(rest) != 1:
-                raise ParseError(f"expected 1 field after STATUS, got {len(rest)}", path, line_no)
-            status = rest[0]
+            status = values[0]
         elif keyword == "OBJECTIVE":
-            objective = float(_floats(rest, 1, path, line_no)[0])
-        elif keyword == "SOLUTION":
-            rows.append((len(rows), _floats(rest, 7, path, line_no), line_no))
-        elif keyword == "VERTEX":
-            if len(rest) != 8:
-                raise ParseError(f"expected 8 fields after VERTEX, got {len(rest)}", path, line_no)
-            rows.append((_int(rest[0], path, line_no), _floats(rest[1:], 7, path, line_no), line_no))
-        else:
-            raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
+            objective = float(values[0])
+        else:  # SOLUTION or VERTEX
+            rows.append((indices[0] if indices else len(rows), values, line_no))
     if not rows:
         raise ParseError("no solution records found", path)
     return {"status": status, "objective": objective, "solution": _indexed_poses(rows, path)}
 
 
 def write_trace(path, trace: ControlTrace) -> None:
-    # "%.17g" formats a float exactly as _fmt does, a whole row per call.
-    row = " ".join(["%.17g"] * 9)
     table = np.column_stack([trace.time, trace.xe, trace.V])
-    rows = (row % tuple(r) for r in table.tolist())
-    _write(path, itertools.chain(["time p0 p1 p2 p3 t1 t2 t3 V"], rows))
+    _write(path, itertools.chain(["time p0 p1 p2 p3 t1 t2 t3 V"], _rows("", table)))
 
 
 def write_probe_report(path, table) -> None:
-    table = np.atleast_2d(np.asarray(table, dtype=float))
-    lines = ["delta rotvec_jump oplus_jump"]
-    lines += [_row(row) for row in table]
-    _write(path, lines)
+    _write(path, ["delta rotvec_jump oplus_jump", *_rows("", table)])

@@ -35,13 +35,9 @@ class NoiseModel:
             raise ValueError("noise standard deviations must be nonnegative")
 
 
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 def random_auq(seed=None, n: int | None = None) -> np.ndarray:
     """Random pose: uniform unit quaternion, translation uniform in [-1, 1]^3."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     q = quat.random_unit(rng, n)
     t = rng.uniform(-1.0, 1.0, (3,) if n is None else (n, 3))
     return np.concatenate([q, t], axis=-1)
@@ -56,7 +52,7 @@ def perturb(x, noise: NoiseModel, rng=None) -> np.ndarray:
     several perturbations from one stream; otherwise noise.seed starts
     a fresh stream.
     """
-    rng = _rng(noise.seed if rng is None else rng)
+    rng = np.random.default_rng(noise.seed if rng is None else rng)
     x = aug.as_auq(np.asarray(x, dtype=float))
     shape = x.shape[:-1] + (3,)
     rv = rng.normal(0.0, noise.rot_sigma, shape) if noise.rot_sigma else np.zeros(shape)
@@ -76,12 +72,12 @@ def gen_handeye(
     """
     if m < 1:
         raise ValueError("need at least one pair")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     x_true = random_auq(rng)
     a = random_auq(rng, m)
     b = aug.compose(aug.compose(aug.auq_inverse(x_true), a), x_true)
     if noise is not None:
-        noise_rng = _rng(noise.seed)
+        noise_rng = np.random.default_rng(noise.seed)
         a = perturb(a, noise, noise_rng)
         b = perturb(b, noise, noise_rng)
     return HandEyeProblem(a=a, b=b, sigma=sigma), x_true
@@ -93,13 +89,13 @@ def gen_handeye_world(
     """Instance of (a_i o x) = (y o b_i): returns (problem, x_true, y_true)."""
     if m < 1:
         raise ValueError("need at least one pair")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     x_true = random_auq(rng)
     y_true = random_auq(rng)
     a = random_auq(rng, m)
     b = aug.compose(aug.compose(aug.auq_inverse(y_true), a), x_true)
     if noise is not None:
-        noise_rng = _rng(noise.seed)
+        noise_rng = np.random.default_rng(noise.seed)
         a = perturb(a, noise, noise_rng)
         b = perturb(b, noise, noise_rng)
     return HandEyeWorldProblem(a=a, b=b, sigma=sigma), x_true, y_true
@@ -115,19 +111,25 @@ def gen_posegraph(
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     x_true = np.concatenate([aug.identity()[None, :], random_auq(rng, n - 1)], axis=0)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    chain = set(edges)
-    candidates = [(i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in chain]
-    if loop_edges > len(candidates):
-        raise ValueError(f"at most {len(candidates)} extra arcs are available")
-    if loop_edges:
-        picks = rng.choice(len(candidates), size=loop_edges, replace=False)
-        edges += [candidates[k] for k in sorted(picks)]
-    edges = np.array(edges, dtype=int)
+    # Extra arcs are picks among the (n - 1)^2 off-chain arcs (i, j),
+    # numbered row by row.  On the n x n grid flattened row-major, the
+    # cells left out are (k, k) and (k, k + 1) at k (n + 1) and
+    # k (n + 1) + 1 for k < n - 1, then (n - 1, n - 1), the last cell.
+    # n - 1 arcs follow each left-out pair, so pick p sits at cell
+    # (p // (n - 1)) (n + 1) + 2 + p % (n - 1).
+    available = (n - 1) ** 2
+    if loop_edges > available:
+        raise ValueError(f"at most {available} extra arcs are available")
+    block, offset = np.divmod(np.sort(rng.choice(available, size=loop_edges, replace=False)), n - 1)
+    chain = np.arange(n - 1)
+    edges = np.concatenate([
+        np.column_stack([chain, chain + 1]),
+        np.column_stack(np.divmod(block * (n + 1) + 2 + offset, n)),
+    ])
     y = aug.compose(aug.auq_inverse(x_true[edges[:, 0]]), x_true[edges[:, 1]])
     if noise is not None:
-        y = perturb(y, noise, _rng(noise.seed))
+        y = perturb(y, noise, np.random.default_rng(noise.seed))
     problem = PoseGraphProblem(n=n, edges=edges, measurements=y, sigma=sigma, anchor=0)
     return problem, x_true

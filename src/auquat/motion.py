@@ -96,9 +96,9 @@ def motion_compose(x: Motion, y: Motion) -> Motion:
 
 def _unit_axis(axis) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        raise ValueError("axis must be nonzero")
+    n = np.linalg.norm(axis)  # nan or inf when a component is
+    if not 0.0 < n < np.inf:
+        raise ValueError("axis must be nonzero and finite")
     return axis / n
 
 
@@ -132,7 +132,7 @@ def discontinuity_report(axis, deltas) -> np.ndarray:
     """Table of jump magnitudes, one row (delta, rotvec jump, oplus jump)
     per offset; both jumps approach 2 pi as delta goes to 0."""
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if np.any(deltas <= 0.0):
-        raise ValueError("offsets must be positive")
+    if not np.all((deltas > 0.0) & (deltas < np.inf)):
+        raise ValueError("offsets must be positive and finite")
     rows = [(d, rotvec_jump(axis, d), oplus_jump(axis, d)) for d in deltas]
     return np.array(rows)

@@ -80,8 +80,8 @@ class HandEyeProblem:
             raise ValueError("a and b must hold the same number of poses")
         if len(self.a) < 1:
             raise ValueError("at least one measurement pair is required")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
 
     @property
     def n_blocks(self) -> int:
@@ -155,8 +155,8 @@ class PoseGraphProblem:
             raise ValueError("self loops are not allowed")
         if not 0 <= self.anchor < self.n:
             raise ValueError("anchor index out of range")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.initial is not None:
             self.initial = _unit_blocks(self.initial, "initial")
             if len(self.initial) != self.n:
@@ -365,8 +365,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.restarts < 1:

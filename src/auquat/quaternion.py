@@ -207,7 +207,7 @@ def random_unit(seed=None, n: int | None = None) -> np.ndarray:
     seed may be an int (fresh deterministic stream) or a Generator to
     draw from.  Returns shape (4,) or (n, 4).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator comes back unchanged
     shape = (4,) if n is None else (n, 4)
     q = rng.standard_normal(shape)
     return q / np.linalg.norm(q, axis=-1, keepdims=True)

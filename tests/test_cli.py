@@ -157,6 +157,9 @@ def test_noisy_calibration_reports_a_converged_restart(tmp_path):
         ["--kr", "0,1,1"],
         ["--start", "2,0,0,0,0,0,0"],
         ["--alpha", "0"],
+        ["--alpha", "inf"],
+        ["--kr=inf,1,1"],
+        ["--dt", "inf"],
     ],
 )
 def test_simulate_invalid_value_exit_code(tmp_path, capsys, option):
@@ -206,8 +209,15 @@ def test_simulate_malformed_number_list_exit_code(tmp_path, capsys, option, mess
         ["gen", "--problem", "handeye", "-m", "0"],
         ["gen", "--problem", "posegraph", "-n", "3", "--loop-edges", "100"],
         ["gen", "--problem", "handeye", "--sigma", "-1"],
+        ["gen", "--problem", "handeye", "--sigma", "inf"],
         ["calibrate", "PROBLEM", "--tol", "0"],
+        ["calibrate", "PROBLEM", "--tol", "nan"],
+        ["calibrate", "PROBLEM", "--tol", "inf"],
         ["probe", "--deltas", "0"],
+        ["probe", "--deltas", "nan"],
+        ["probe", "--deltas", "inf"],
+        ["probe", "--axis=nan,0,1"],
+        ["probe", "--axis=0,inf,1"],
         ["calibrate", "PROBLEM", "--max-iters", "-1"],
         ["calibrate", "PROBLEM", "--restarts", "-3"],
         ["calibrate", "PROBLEM", "--restarts", "0"],
@@ -221,6 +231,17 @@ def test_invalid_option_value_exit_code(tmp_path, capsys, argv):
     argv = [str(problem) if arg == "PROBLEM" else arg for arg in argv]
     assert main([*argv, "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_overflowing_objective_exit_code(tmp_path, capsys):
+    # a 1e200 translation squares past the largest double before the first step
+    path = tmp_path / "p.txt"
+    path.write_text("SIGMA 1\nPAIR 1 0 0 0 1e200 0 0 1 0 0 0 0 0 0\n"
+                    "PAIR 0 1 0 0 0 0 0 0 1 0 0 0 0 0\n")
+    out = tmp_path / "out.txt"
+    assert main(["calibrate", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: objective is not finite at the initial point\n"
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,23 @@ def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content,
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "content,fragment,line",
+    [
+        ("EDGE -1 1 1 0 0 0 0 0 0\n", "nonnegative integer", 1),
+        ("VERTEX -1 1 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n", "nonnegative integer", 1),
+        ("SIGMA 1\nSIGMA inf\nPAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\n", "sigma must be", 2),
+    ],
+    ids=["edge-negative", "vertex-negative", "sigma-inf"],
+)
+def test_problem_reader_names_the_bad_records_line(tmp_path, content, fragment, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    with pytest.raises(ParseError, match=fragment) as err:
+        files.parse_problem_file(path)
+    assert err.value.line == line
+
+
 def test_problem_reader_rejects_repeated_vertex(tmp_path):
     # a second VERTEX 0 record used to replace the first without a word
     path = tmp_path / "graph.txt"
@@ -172,18 +191,24 @@ def test_trace_export_shape(tmp_path):
 
 
 
+# reference: the one-call-per-value format the writers used to take
+def _fmt(value):
+    return f"{value:.17g}"
+
+
+def _row(values):
+    return " ".join(_fmt(v) for v in np.asarray(values, dtype=float))
+
+
+def _text(lines):
+    return "\n".join([files._HEADER, *lines]) + "\n"
+
+
 def _per_value_trace_text(trace):
-    # reference: the one-_fmt-call-per-value form write_trace used to take
-    def fmt(value):
-        return f"{value:.17g}"
-
-    def row(values):
-        return " ".join(fmt(v) for v in np.asarray(values, dtype=float))
-
-    lines = [files._HEADER, "time p0 p1 p2 p3 t1 t2 t3 V"]
+    lines = ["time p0 p1 p2 p3 t1 t2 t3 V"]
     for k in range(len(trace.time)):
-        lines.append(f"{fmt(trace.time[k])} {row(trace.xe[k])} {fmt(trace.V[k])}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{_fmt(trace.time[k])} {_row(trace.xe[k])} {_fmt(trace.V[k])}")
+    return _text(lines)
 
 
 def test_trace_rows_match_per_value_format(tmp_path):
@@ -197,6 +222,45 @@ def test_trace_rows_match_per_value_format(tmp_path):
     files.write_trace(path, trace)
     with open(path, "rb") as fh:
         assert fh.read() == _per_value_trace_text(trace).encode()
+
+
+# values whose shortest exact text is awkward: signed zero, the smallest
+# subnormal, a repeating fraction, the largest double
+_AWKWARD = [-0.0, 5e-324, 1.0 / 3.0, 1.7976931348623157e308, -2.0 / 3.0, np.pi, 0.1 + 0.2]
+
+
+def test_writers_match_per_value_format(tmp_path):
+    p = [1.0 / 3.0, -np.sqrt(8.0) / 3.0, 0.0, -0.0]
+    poses = np.array([p + _AWKWARD[:3], p[::-1] + _AWKWARD[3:6], [1.0, 0, 0, 0] + _AWKWARD[4:]])
+    pairs = opt.HandEyeProblem(a=poses, b=poses[::-1], sigma=1.0 / 3.0)
+    graph = opt.PoseGraphProblem(n=3, edges=[[0, 1], [2, 0], [1, 2]], measurements=poses,
+                                 sigma=5e-324, initial=poses[[1, 2, 0]])
+    result = SimpleNamespace(status="stalled", objective=1.7976931348623157e308, solution=poses)
+    table = np.array([_AWKWARD[:3], _AWKWARD[3:6], _AWKWARD[4:]])
+    cases = [
+        (files.write_problem, (pairs,),
+         [f"SIGMA {_fmt(pairs.sigma)}"]
+         + [f"PAIR {_row(a)} {_row(b)}" for a, b in zip(pairs.a, pairs.b)]),
+        (files.write_problem, (graph,),
+         [f"SIGMA {_fmt(graph.sigma)}"]
+         + [f"VERTEX {i} {_row(x)}" for i, x in enumerate(graph.initial)]
+         + [f"EDGE {i} {j} {_row(y)}" for (i, j), y in zip(graph.edges, graph.measurements)]),
+        (files.write_truth, (poses[0],), [f"TRUTH {_row(poses[0])}"]),
+        (files.write_truth, (poses, True), [f"TRUTH {i} {_row(x)}" for i, x in enumerate(poses)]),
+        (files.write_solution, (result, pairs),
+         ["STATUS stalled", f"OBJECTIVE {_fmt(result.objective)}"]
+         + [f"SOLUTION {_row(x)}" for x in poses]),
+        (files.write_solution, (result, graph),
+         ["STATUS stalled", f"OBJECTIVE {_fmt(result.objective)}"]
+         + [f"VERTEX {i} {_row(x)}" for i, x in enumerate(poses)]),
+        (files.write_probe_report, (table,),
+         ["delta rotvec_jump oplus_jump"] + [_row(r) for r in table]),
+    ]
+    path = tmp_path / "out.txt"
+    for write, args, lines in cases:
+        write(path, *args)
+        with open(path, "rb") as fh:
+            assert fh.read() == _text(lines).encode(), write.__name__
 
 
 def test_seventeen_digit_roundtrip(tmp_path):

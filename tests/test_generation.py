@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,9 @@ def test_posegraph_two_vertices_single_edge():
 def test_posegraph_rejects_too_many_arcs():
     with pytest.raises(ValueError):
         gen.gen_posegraph(n=3, loop_edges=100, seed=0)
+    for n in range(2, 41):  # one arc more than the (n - 1)^2 off the chain
+        with pytest.raises(ValueError, match=f"at most {(n - 1) ** 2} extra arcs"):
+            gen.gen_posegraph(n, (n - 1) ** 2 + 1, seed=n)
 
 
 def test_perturb_zero_noise_is_identity():
@@ -100,7 +105,15 @@ def test_noisy_objective_trend_monte_carlo():
     assert means[0] <= means[1] <= means[2]
 
 
-@pytest.mark.parametrize("n, loop_edges, seed", [(2, 0, 3), (6, 5, 1), (12, 20, 7), (200, 200, 29)])
+# every n up to 40 with no, one, n and all (n - 1)^2 extra arcs
+_SWEEP = [
+    (n, k, n) for n in range(2, 41) for k in sorted({0, 1, n, (n - 1) ** 2}) if k <= (n - 1) ** 2
+]
+
+
+@pytest.mark.parametrize(
+    "n, loop_edges, seed", [(2, 0, 3), (6, 5, 1), (12, 20, 7), (200, 200, 29)] + _SWEEP
+)
 def test_posegraph_matches_reference_generator(n, loop_edges, seed):
     # the generator as first written, rebuilding the chain set per candidate
     rng = np.random.default_rng(seed)
@@ -119,6 +132,17 @@ def test_posegraph_matches_reference_generator(n, loop_edges, seed):
     np.testing.assert_array_equal(truth, x_true)
     np.testing.assert_array_equal(problem.edges, edges)
     np.testing.assert_array_equal(problem.measurements, aug.as_auq(y))
+
+
+def test_posegraph_generator_memory_is_linear():
+    # a list of all (n - 1)^2 candidate arcs would take about 90 MB here
+    tracemalloc.start()
+    try:
+        gen.gen_posegraph(1000, 10, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def _assert_within_criterion_5(solution, truth):
