@@ -25,6 +25,7 @@ from .augmented import (
     compose,
     identity,
     quat_part,
+    random_auq,
     sigma_magnitude,
     to_homogeneous,
     trans_part,
@@ -55,7 +56,7 @@ from .errors import (
     StepDiverged,
     ZeroMagnitude,
 )
-from .generation import NoiseModel, gen_handeye, gen_handeye_world, gen_posegraph, perturb, random_auq
+from .generation import NoiseModel, gen_handeye, gen_handeye_world, gen_posegraph, perturb
 from .motion import (
     Motion,
     discontinuity_report,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import quaternion as quat
 from .errors import AVQClosureViolation, NotInvertible
-from .tolerances import AVQ_SCALAR_TOL, UNIT_NORMALIZE_TOL, ZERO_MAGNITUDE
+from .tolerances import AVQ_SCALAR_TOL, ZERO_MAGNITUDE
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 IDENTITY.setflags(write=False)
@@ -46,6 +46,14 @@ def aq(p, t) -> np.ndarray:
     return np.concatenate([p, t], axis=-1)
 
 
+def random_auq(seed=None, n: int | None = None) -> np.ndarray:
+    """Random pose: uniform unit quaternion, translation uniform in [-1, 1]^3."""
+    rng = np.random.default_rng(seed)
+    q = quat.random_unit(rng, n)
+    t = rng.uniform(-1.0, 1.0, (3,) if n is None else (n, 3))
+    return np.concatenate([q, t], axis=-1)
+
+
 def quat_part(x) -> np.ndarray:
     return _as_aq(x)[..., :4]
 
@@ -54,19 +62,20 @@ def trans_part(x) -> np.ndarray:
     return _as_aq(x)[..., 4:]
 
 
-def as_auq(x, tol: float = UNIT_NORMALIZE_TOL) -> np.ndarray:
+def as_auq(x) -> np.ndarray:
     """Validate the unit invariant and return x with the quaternion part
-    exactly normalized.  Rejects non-finite input and deviations beyond tol."""
+    exactly normalized.  Rejects non-finite input and quaternion norms off
+    1 by more than UNIT_NORMALIZE_TOL."""
     x = _as_aq(x)
     if not np.all(np.isfinite(x[..., 4:])):
         raise ValueError("translation components must be finite")
-    p = quat.ensure_unit(x[..., :4], tol)
+    p = quat.ensure_unit(x[..., :4])
     return np.concatenate([p, x[..., 4:]], axis=-1)
 
 
-def auq(p, t, tol: float = UNIT_NORMALIZE_TOL) -> np.ndarray:
+def auq(p, t) -> np.ndarray:
     """Assemble an AUQ, normalizing/validating the quaternion part."""
-    return aq(quat.ensure_unit(p, tol), t)
+    return aq(quat.ensure_unit(p), t)
 
 
 def aq_add(x, y) -> np.ndarray:
@@ -113,9 +122,9 @@ def auq_inverse(x) -> np.ndarray:
 
 
 def sigma_magnitude(x, sigma: float = 1.0) -> np.ndarray | float:
-    """Weighted magnitude sqrt(|p|^2 + sigma |t|^2), sigma > 0."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    """Weighted magnitude sqrt(|p|^2 + sigma |t|^2), sigma positive and finite."""
+    if not 0.0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     x = _as_aq(x)
     p2 = np.sum(x[..., :4] ** 2, axis=-1)
     t2 = np.sum(x[..., 4:] ** 2, axis=-1)
@@ -137,9 +146,9 @@ def avq(r, t) -> np.ndarray:
     return aq(quat.vector_quat(r), t)
 
 
-def is_avq(y, atol: float = AVQ_SCALAR_TOL) -> bool:
-    """True when the scalar slot vanishes."""
-    return bool(np.all(np.abs(_as_aq(y)[..., 0]) <= atol))
+def is_avq(y) -> bool:
+    """True when |scalar slot| <= AVQ_SCALAR_TOL."""
+    return bool(np.all(np.abs(_as_aq(y)[..., 0]) <= AVQ_SCALAR_TOL))
 
 
 def avq_conjugation(x, y) -> np.ndarray:

@@ -5,7 +5,9 @@ All outputs are deterministic for a fixed seed.  calibrate and
 calibrate-world read a file of PAIR records, slam one of EDGE records.
 Each runs up to --restarts tangent-space Gauss-Newton loops of at most
 --max-iters iterations each and stops at the first whose gradient norm
-is at most --tol.
+is at most --tol.  The solver, noise, sigma and Lyapunov-weight
+defaults are those of SolverConfig, NoiseModel, the problem classes and
+LyapunovWeights.
 Exit codes: 0 success, 1 I/O failure, 2 malformed input file, wrong
 kind of problem file, invalid option value or a problem whose objective
 is not finite at the start (no solution is written), 3 solver did not
@@ -24,10 +26,10 @@ import numpy as np
 from . import __version__, files
 from . import generation as gen
 from . import motion
-from .control import Gains, LyapunovWeights, integrate
+from .control import DYNAMICS_EXPONENTIAL, DYNAMICS_TWIST, Gains, LyapunovWeights, integrate
 from .errors import NonFiniteObjective, ParseError, StepDiverged
 from .generation import NoiseModel
-from .optimization import STATUS_CONVERGED, PoseGraphProblem, SolverConfig, solve
+from .optimization import STATUS_CONVERGED, HandEyeProblem, PoseGraphProblem, SolverConfig, solve
 
 
 def _csv_floats(count=None):
@@ -59,47 +61,53 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    solver, weights, noise = SolverConfig(), LyapunovWeights(), NoiseModel()
     parser = argparse.ArgumentParser(prog="auquat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"auquat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic problem instance with ground truth")
+    p.set_defaults(run=_run_gen)
     p.add_argument("--problem", required=True, choices=["handeye", "handeye-world", "posegraph"])
     p.add_argument("-m", "--pairs", type=int, default=5, help="measurement pairs (hand-eye)")
     p.add_argument("-n", "--vertices", type=int, default=10, help="vertex count (pose graph)")
     p.add_argument("--loop-edges", type=int, default=10, help="extra arcs beyond the chain")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, default=HandEyeProblem.sigma)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rot-noise", type=float, default=0.0)
-    p.add_argument("--trans-noise", type=float, default=0.0)
-    p.add_argument("--noise-seed", type=int, default=0)
+    p.add_argument("--rot-noise", type=float, default=noise.rot_sigma)
+    p.add_argument("--trans-noise", type=float, default=noise.trans_sigma)
+    p.add_argument("--noise-seed", type=int, default=noise.seed)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--truth", default=None, help="truth sidecar path (default: OUTPUT.truth)")
 
     for name in ("calibrate", "calibrate-world", "slam"):
         p = sub.add_parser(name, help=f"solve a {name.replace('-', ' ')} problem file")
+        p.set_defaults(run=_run_solve)
         p.add_argument("input")
         p.add_argument("-o", "--output", required=True)
-        p.add_argument("--restarts", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-iters", type=int, default=60,
+        p.add_argument("--restarts", type=int, default=solver.restarts)
+        p.add_argument("--seed", type=int, default=solver.seed)
+        p.add_argument("--tol", type=float, default=solver.grad_tol)
+        p.add_argument("--max-iters", type=int, default=solver.max_iters,
                        help="Gauss-Newton iterations per restart")
 
     p = sub.add_parser("simulate", help="integrate the closed-loop pose error")
+    p.set_defaults(run=_run_simulate)
     p.add_argument("--start", type=_csv_floats(7), default=None, help="start pose, 7 values")
     p.add_argument("--target", type=_csv_floats(7), default=None, help="target pose, 7 values")
     p.add_argument("--seed", type=int, default=0, help="seed for omitted start/target")
     p.add_argument("--kr", type=_csv_floats(3), default=np.ones(3))
     p.add_argument("--kt", type=_csv_floats(3), default=np.ones(3))
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=weights.alpha)
+    p.add_argument("--beta", type=float, default=weights.beta)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=10_000)
-    p.add_argument("--dynamics", choices=["exponential", "twist"], default="exponential")
+    p.add_argument("--dynamics", choices=[DYNAMICS_EXPONENTIAL, DYNAMICS_TWIST],
+                   default=DYNAMICS_EXPONENTIAL)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("probe", help="measure the motion-representation discontinuities")
+    p.set_defaults(run=_run_probe)
     p.add_argument("--axis", type=_csv_floats(3), default=np.array([0.0, 0.0, 1.0]))
     p.add_argument("--deltas", type=_csv_floats(), default=np.array([1e-6, 1e-4, 1e-2, 1.0]))
     p.add_argument("-o", "--output", required=True)
@@ -171,13 +179,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_glue_negative_values(argv))
     try:
-        if args.command == "gen":
-            return _run_gen(args)
-        if args.command in ("calibrate", "calibrate-world", "slam"):
-            return _run_solve(args)
-        if args.command == "simulate":
-            return _run_simulate(args)
-        return _run_probe(args)
+        return args.run(args)
     except (ValueError, NonFiniteObjective) as exc:
         # a malformed file (ParseError), an invalid option value, or
         # measurements so large that the objective overflows

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import quaternion as quat
 from .errors import ConstraintViolated
-from .tolerances import ALGEBRA_ATOL
+from .tolerances import ALGEBRA_ATOL, AVQ_SCALAR_TOL
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 IDENTITY.setflags(write=False)
@@ -60,18 +60,18 @@ def orthogonality_defect(q) -> np.ndarray:
     return quat.qmul(qs, quat.qconj(qd)) + quat.qmul(qd, quat.qconj(qs))
 
 
-def check_unit(q, atol: float = ALGEBRA_ATOL) -> np.ndarray:
+def check_unit(q) -> np.ndarray:
     """Validate both unit-dual-quaternion invariants, returning q.
 
     Raises ConstraintViolated when |qs| deviates from 1 or the
-    orthogonality defect exceeds atol.
+    orthogonality defect exceeds ALGEBRA_ATOL.
     """
     q = _as_dq(q)
     dev = np.abs(quat.qnorm(q[..., :4]) - 1.0)
-    if np.any(dev > atol):
+    if np.any(dev > ALGEBRA_ATOL):
         raise ConstraintViolated(f"standard part norm deviates by {float(np.max(dev)):.3e}")
     defect = np.linalg.norm(orthogonality_defect(q), axis=-1)
-    if np.any(defect > atol):
+    if np.any(defect > ALGEBRA_ATOL):
         raise ConstraintViolated(f"orthogonality defect {float(np.max(defect)):.3e}")
     return q
 
@@ -88,14 +88,14 @@ def from_auq(x) -> np.ndarray:
     return np.concatenate([p, 0.5 * quat.qmul(p, quat.vector_quat(t))], axis=-1)
 
 
-def to_auq(q, atol: float = ALGEBRA_ATOL) -> np.ndarray:
+def to_auq(q) -> np.ndarray:
     """Recover the 7-component pose: translation quaternion 2 qs* qd.
 
     Validates the input invariants and that the recovered translation
-    quaternion has a vanishing scalar slot.
+    quaternion has a scalar slot of at most AVQ_SCALAR_TOL.
     """
-    q = check_unit(q, atol)
+    q = check_unit(q)
     t_quat = 2.0 * quat.qmul(quat.qconj(q[..., :4]), q[..., 4:])
-    if np.any(np.abs(t_quat[..., 0]) > 1e-10):
+    if np.any(np.abs(t_quat[..., 0]) > AVQ_SCALAR_TOL):
         raise ConstraintViolated("recovered translation has a non-zero scalar slot")
     return np.concatenate([q[..., :4], t_quat[..., 1:]], axis=-1)

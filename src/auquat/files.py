@@ -150,6 +150,11 @@ def parse_problem_file(path, world: bool = False) -> Problem:
         if not edges:
             raise ParseError("no measurements found", path)
         n = max([i for e in edges for i in e] + list(vertices)) + 1
+        edges = np.array(edges)
+        measured = np.zeros(n, dtype=bool)
+        measured[edges] = True
+        if not measured.all():
+            raise ValueError(f"vertex {np.argmin(measured)} is in no EDGE record")
         initial = None
         if vertices:
             initial = np.tile(aug.identity(), (n, 1))
@@ -157,7 +162,7 @@ def parse_problem_file(path, world: bool = False) -> Problem:
                 initial[i] = pose
         return PoseGraphProblem(
             n=n,
-            edges=np.array(edges),
+            edges=edges,
             measurements=np.array(measurements),
             sigma=sigma,
             initial=initial,
@@ -165,7 +170,22 @@ def parse_problem_file(path, world: bool = False) -> Problem:
     except ParseError:
         raise
     except ValueError as exc:
+        _raise_first_bad_record(path)
         raise ParseError(str(exc), path) from exc
+
+
+def _raise_first_bad_record(path) -> None:
+    """Name the line of the first problem record that is invalid on its own:
+    a self loop, or a pose that is not finite and unit.  Runs only once the
+    whole file has been refused, so valid files are read once."""
+    for line_no, keyword, indices, values in _records(path, _PROBLEM):
+        try:
+            if keyword == "EDGE" and indices[0] == indices[1]:
+                raise ValueError("self loops are not allowed")
+            if keyword != "SIGMA":
+                aug.as_auq(values.reshape(-1, 7))
+        except ValueError as exc:
+            raise ParseError(str(exc), path, line_no) from None
 
 
 def write_truth(path, truth, indexed: bool = False) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import augmented as aug
 from . import quaternion as quat
+from .augmented import random_auq
 from .optimization import HandEyeProblem, HandEyeWorldProblem, PoseGraphProblem
 
 
@@ -23,7 +24,8 @@ class NoiseModel:
 
     rot_sigma is the per-axis standard deviation (radians) of a
     rotation-vector perturbation applied on the right of the quaternion
-    part; trans_sigma (meters) is additive on the translation.
+    part; trans_sigma (meters) is additive on the translation.  Both are
+    nonnegative and finite.
     """
 
     rot_sigma: float = 0.0
@@ -31,16 +33,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rot_sigma < 0.0 or self.trans_sigma < 0.0:
-            raise ValueError("noise standard deviations must be nonnegative")
-
-
-def random_auq(seed=None, n: int | None = None) -> np.ndarray:
-    """Random pose: uniform unit quaternion, translation uniform in [-1, 1]^3."""
-    rng = np.random.default_rng(seed)
-    q = quat.random_unit(rng, n)
-    t = rng.uniform(-1.0, 1.0, (3,) if n is None else (n, 3))
-    return np.concatenate([q, t], axis=-1)
+        if not (0.0 <= self.rot_sigma < np.inf and 0.0 <= self.trans_sigma < np.inf):
+            raise ValueError("noise standard deviations must be nonnegative and finite")
 
 
 def perturb(x, noise: NoiseModel, rng=None) -> np.ndarray:

@@ -23,9 +23,7 @@ import numpy as np
 from . import augmented as aug
 from . import quaternion as quat
 from .errors import OutOfRange
-
-# q0^2 within this of 1 selects the zero branch of the projection.
-_ZERO_BRANCH_TOL = 1e-14
+from .tolerances import ZERO_BRANCH_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -60,7 +58,7 @@ def rotvec_from_quat(q) -> np.ndarray:
     q0 = np.clip(q[..., :1], -1.0, 1.0)
     qv = q[..., 1:]
     vn = np.linalg.norm(qv, axis=-1, keepdims=True)
-    zero_branch = np.abs(q0 * q0 - 1.0) <= _ZERO_BRANCH_TOL
+    zero_branch = np.abs(q0 * q0 - 1.0) <= ZERO_BRANCH_TOL
     scale = np.where(zero_branch, 0.0, 2.0 * np.arccos(q0) / np.where(zero_branch, 1.0, np.maximum(vn, 1e-300)))
     return scale * qv
 

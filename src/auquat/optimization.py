@@ -408,8 +408,7 @@ def _retract(problem: Problem, x) -> np.ndarray:
 
 
 def _random_init(problem: Problem, rng) -> np.ndarray:
-    n = problem.n_blocks
-    x = np.concatenate([quat.random_unit(rng, n), rng.uniform(-1.0, 1.0, (n, 3))], axis=-1)
+    x = aug.random_auq(rng, problem.n_blocks)
     x[problem.gauge] = aug.IDENTITY
     return x
 

@@ -95,16 +95,18 @@ def qinv(q) -> np.ndarray:
     return qconj(q) / n2
 
 
-def ensure_unit(q, tol: float = UNIT_NORMALIZE_TOL) -> np.ndarray:
-    """Validate that q is finite and unit within tol; return it exactly
-    normalized."""
+def ensure_unit(q) -> np.ndarray:
+    """Validate that q is finite and unit within UNIT_NORMALIZE_TOL; return
+    it exactly normalized."""
     q = _as_quat(q)
     if not np.all(np.isfinite(q)):
         raise ValueError("quaternion components must be finite")
     n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(np.abs(n - 1.0) > tol):
+    if np.any(np.abs(n - 1.0) > UNIT_NORMALIZE_TOL):
         worst = float(np.max(np.abs(n - 1.0)))
-        raise ValueError(f"quaternion norm deviates from 1 by {worst:.3e} (tol {tol:.1e})")
+        raise ValueError(
+            f"quaternion norm deviates from 1 by {worst:.3e} (tol {UNIT_NORMALIZE_TOL:.1e})"
+        )
     return q / n
 
 
@@ -115,9 +117,9 @@ def vector_quat(v) -> np.ndarray:
     return np.concatenate([zero, v], axis=-1)
 
 
-def is_vector_quat(q, atol: float = AXIS_EPS) -> bool:
-    """True when the scalar part vanishes, i.e. q = -q*."""
-    return bool(np.all(np.abs(_as_quat(q)[..., 0]) <= atol))
+def is_vector_quat(q) -> bool:
+    """True when |scalar part| <= AXIS_EPS, i.e. q = -q*."""
+    return bool(np.all(np.abs(_as_quat(q)[..., 0]) <= AXIS_EPS))
 
 
 def cross_matrix(v) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Shared numeric tolerances.
 
-Every algebraic identity in this package is checked against ALGEBRA_ATOL;
-change it here rather than sprinkling literals through the code.
+Every tolerance that a check of the package compares against is set
+here, once.  No function takes a tolerance parameter, so no call can
+override one; change a value here rather than writing a literal into the
+code.  Every algebraic identity is checked against ALGEBRA_ATOL.  The
+solver's stopping rule is a setting (SolverConfig.grad_tol), not a check.
 """
 
 # Absolute tolerance for algebraic identities (group axioms, homomorphisms).
@@ -12,6 +15,10 @@ ZERO_MAGNITUDE = 1e-15
 
 # Vector-part norm below which the logarithm axis is degenerate.
 AXIS_EPS = 1e-12
+
+# q0^2 within this of 1 selects the zero branch of the rotation-vector
+# projection.
+ZERO_BRANCH_TOL = 1e-14
 
 # Constructors re-normalize unit parts whose norm deviates by less than
 # this, and reject anything further out (catches logic errors, absorbs

@@ -165,6 +165,13 @@ def test_sigma_magnitude_rejects_bad_sigma():
         aug.sigma_magnitude(np.zeros(7), 0.0)
 
 
+@pytest.mark.parametrize("sigma", [np.inf, np.nan])
+def test_sigma_magnitude_rejects_non_finite_sigma(sigma):
+    # inf times a zero translation used to come back as nan
+    with pytest.raises(ValueError, match="positive and finite"):
+        aug.sigma_magnitude(np.array([1.0, 0, 0, 0, 0, 0, 0]), sigma)
+
+
 def test_sigma_norm_axioms():
     x = _rand_aq(N_SAMPLES)
     y = _rand_aq(N_SAMPLES)

@@ -4,6 +4,8 @@ import pytest
 from auquat import cli, files
 from auquat import optimization as opt
 from auquat.cli import main
+from auquat.control import DYNAMICS_EXPONENTIAL, DYNAMICS_TWIST, LyapunovWeights
+from auquat.generation import NoiseModel
 
 
 def _read(path):
@@ -221,6 +223,10 @@ def test_simulate_malformed_number_list_exit_code(tmp_path, capsys, option, mess
         ["calibrate", "PROBLEM", "--max-iters", "-1"],
         ["calibrate", "PROBLEM", "--restarts", "-3"],
         ["calibrate", "PROBLEM", "--restarts", "0"],
+        ["gen", "--problem", "handeye", "--rot-noise", "inf"],
+        ["gen", "--problem", "handeye", "--rot-noise", "nan"],
+        ["gen", "--problem", "handeye", "--trans-noise", "inf"],
+        ["gen", "--problem", "posegraph", "--trans-noise", "nan"],
     ],
 )
 def test_invalid_option_value_exit_code(tmp_path, capsys, argv):
@@ -298,3 +304,42 @@ def test_number_lists_may_start_with_minus(tmp_path):
 def test_number_list_options_parse_leading_minus(argv, name, values):
     args = cli._build_parser().parse_args(cli._glue_negative_values(argv + ["-o", "out.txt"]))
     np.testing.assert_array_equal(getattr(args, name), values)
+
+
+def _defaults(command):
+    """The options of one subcommand as parsed with nothing given."""
+    argv = {"gen": ["--problem", "handeye"], "simulate": [], "probe": []}.get(command, ["IN"])
+    return cli._build_parser().parse_args([command, *argv, "-o", "OUT"])
+
+
+@pytest.mark.parametrize("command", ["calibrate", "calibrate-world", "slam"])
+def test_solver_defaults_are_the_libraries(command):
+    args, config = _defaults(command), opt.SolverConfig()
+    assert (args.restarts, args.seed, args.tol, args.max_iters) == (
+        config.restarts, config.seed, config.grad_tol, config.max_iters
+    )
+
+
+def test_simulate_and_gen_defaults_are_the_libraries(capsys):
+    args, weights = _defaults("simulate"), LyapunovWeights()
+    assert (args.alpha, args.beta) == (weights.alpha, weights.beta)
+    assert args.dynamics == DYNAMICS_EXPONENTIAL
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert f"--dynamics {{{DYNAMICS_EXPONENTIAL},{DYNAMICS_TWIST}}}" in capsys.readouterr().out
+    args, noise = _defaults("gen"), NoiseModel()
+    assert (args.rot_noise, args.trans_noise, args.noise_seed) == (
+        noise.rot_sigma, noise.trans_sigma, noise.seed
+    )
+    assert args.sigma == opt.HandEyeProblem.sigma == opt.PoseGraphProblem.sigma
+
+
+@pytest.mark.parametrize(
+    "command", ["gen", "calibrate", "calibrate-world", "slam", "simulate", "probe"]
+)
+def test_every_subcommand_has_help_and_a_runner(capsys, command):
+    assert callable(_defaults(command).run)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: auquat {command}")

@@ -73,6 +73,10 @@ def test_comma_separated_fields_accepted(tmp_path):
         ("EDGE 0 1 1 0 0 0 0 0\n", "9 fields after EDGE"),
         ("EDGE -1 1 1 0 0 0 0 0 0\n", "nonnegative"),
         ("EDGE 1 1 1 0 0 0 0 0 0\n", "self loop"),
+        # a far index used to leave every vertex between free and unmeasured
+        ("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 3 1 0 0 0 0 0 0\n", "vertex 2 is in no EDGE record"),
+        ("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 40 1 0 0 0 0 0 0\n", "vertex 2 is in no EDGE record"),
+        ("VERTEX 2 1 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n", "vertex 2 is in no EDGE record"),
     ],
 )
 def test_parse_errors(tmp_path, content, fragment):
@@ -137,8 +141,18 @@ def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content,
         ("EDGE -1 1 1 0 0 0 0 0 0\n", "nonnegative integer", 1),
         ("VERTEX -1 1 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n", "nonnegative integer", 1),
         ("SIGMA 1\nSIGMA inf\nPAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\n", "sigma must be", 2),
+        ("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 1 1 0 0 0 0 0 0\n", "self loops", 2),
+        ("PAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\nPAIR 1 0 0 0 0 0 0 2 0 0 0 0 0 0\n",
+         "norm deviates", 2),
+        ("PAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\nPAIR 1 0 0 0 0 0 inf 1 0 0 0 0 0 0\n",
+         "translation components must be finite", 2),
+        ("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 2 nan 0 0 0 0 0 0\n",
+         "quaternion components must be finite", 2),
+        ("VERTEX 0 1 0 0 0 0 0 0\nVERTEX 1 0.5 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n",
+         "norm deviates", 2),
     ],
-    ids=["edge-negative", "vertex-negative", "sigma-inf"],
+    ids=["edge-negative", "vertex-negative", "sigma-inf", "edge-self-loop", "pair-non-unit",
+         "pair-non-finite", "edge-non-finite", "vertex-non-unit"],
 )
 def test_problem_reader_names_the_bad_records_line(tmp_path, content, fragment, line):
     path = tmp_path / "bad.txt"

@@ -89,6 +89,14 @@ def test_noise_model_validation():
         gen.NoiseModel(rot_sigma=-0.1)
 
 
+@pytest.mark.parametrize("sigma", [np.inf, np.nan])
+@pytest.mark.parametrize("field", ["rot_sigma", "trans_sigma"])
+def test_noise_model_rejects_non_finite_sigma(field, sigma):
+    # an infinite trans_sigma used to give perturb an infinite translation
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        gen.NoiseModel(**{field: sigma})
+
+
 def test_noisy_objective_trend_monte_carlo():
     # solved objective grows with the noise level (coarse trend over a
     # small ensemble, not per instance)
