@@ -147,10 +147,9 @@ def error_auq(x, xd) -> np.ndarray:
 
 
 def error_angular_velocity(pe, w, wd) -> np.ndarray:
-    """Error angular velocity: vector part of wd_quat - pe* w_quat pe."""
-    pe = quat._as_quat(pe)
-    sandwich = quat.qmul(quat.qmul(quat.qconj(pe), quat.vector_quat(w)), pe)
-    return np.asarray(wd, dtype=float) - sandwich[..., 1:]
+    """Error angular velocity wd - R(pe)^T w, the vector part of
+    wd_quat - pe* w_quat pe."""
+    return np.asarray(wd, dtype=float) - quat.rot_apply_T(pe, w)
 
 
 def twist_from_error_rates(xe, te_dot, we) -> Twist:

@@ -56,6 +56,20 @@ def perturb(x, noise: NoiseModel, rng=None) -> np.ndarray:
     return np.concatenate([p, x[..., 4:] + dt], axis=-1)
 
 
+def _pairs(rng, m: int, x, y, noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
+    """m measurement pairs of (a_i o x) = (y o b_i): a_i drawn from rng,
+    b_i = y^-1 o a_i o x, both perturbed when noise is given."""
+    if m < 1:
+        raise ValueError("need at least one pair")
+    a = random_auq(rng, m)
+    b = aug.compose(aug.compose(aug.auq_inverse(y), a), x)
+    if noise is not None:
+        noise_rng = np.random.default_rng(noise.seed)
+        a = perturb(a, noise, noise_rng)
+        b = perturb(b, noise, noise_rng)
+    return a, b
+
+
 def gen_handeye(
     m: int, seed=0, sigma: float = 1.0, noise: NoiseModel | None = None
 ) -> tuple[HandEyeProblem, np.ndarray]:
@@ -64,16 +78,9 @@ def gen_handeye(
     Exact measurements satisfy b_i = x^-1 o a_i o x; noise, when given,
     perturbs both a_i and b_i.
     """
-    if m < 1:
-        raise ValueError("need at least one pair")
     rng = np.random.default_rng(seed)
     x_true = random_auq(rng)
-    a = random_auq(rng, m)
-    b = aug.compose(aug.compose(aug.auq_inverse(x_true), a), x_true)
-    if noise is not None:
-        noise_rng = np.random.default_rng(noise.seed)
-        a = perturb(a, noise, noise_rng)
-        b = perturb(b, noise, noise_rng)
+    a, b = _pairs(rng, m, x_true, x_true, noise)
     return HandEyeProblem(a=a, b=b, sigma=sigma), x_true
 
 
@@ -81,17 +88,10 @@ def gen_handeye_world(
     m: int, seed=0, sigma: float = 1.0, noise: NoiseModel | None = None
 ) -> tuple[HandEyeWorldProblem, np.ndarray, np.ndarray]:
     """Instance of (a_i o x) = (y o b_i): returns (problem, x_true, y_true)."""
-    if m < 1:
-        raise ValueError("need at least one pair")
     rng = np.random.default_rng(seed)
     x_true = random_auq(rng)
     y_true = random_auq(rng)
-    a = random_auq(rng, m)
-    b = aug.compose(aug.compose(aug.auq_inverse(y_true), a), x_true)
-    if noise is not None:
-        noise_rng = np.random.default_rng(noise.seed)
-        a = perturb(a, noise, noise_rng)
-        b = perturb(b, noise, noise_rng)
+    a, b = _pairs(rng, m, x_true, y_true, noise)
     return HandEyeWorldProblem(a=a, b=b, sigma=sigma), x_true, y_true
 
 
@@ -100,8 +100,8 @@ def gen_posegraph(
 ) -> tuple[PoseGraphProblem, np.ndarray]:
     """Chain graph 0 -> 1 -> ... -> n-1 plus random extra arcs.
 
-    Vertex 0 is the anchored ground truth identity.  Measurements are
-    y_ij = x_i^-1 o x_j, optionally perturbed.  Returns (problem, x_true).
+    Vertex 0 is the ground truth identity, which solves hold.  Measurements
+    are y_ij = x_i^-1 o x_j, optionally perturbed.  Returns (problem, x_true).
     """
     if n < 2:
         raise ValueError("need at least two vertices")
@@ -114,8 +114,8 @@ def gen_posegraph(
     # n - 1 arcs follow each left-out pair, so pick p sits at cell
     # (p // (n - 1)) (n + 1) + 2 + p % (n - 1).
     available = (n - 1) ** 2
-    if loop_edges > available:
-        raise ValueError(f"at most {available} extra arcs are available")
+    if not 0 <= loop_edges <= available:
+        raise ValueError(f"need 0 to at most {available} extra arcs, got {loop_edges}")
     block, offset = np.divmod(np.sort(rng.choice(available, size=loop_edges, replace=False)), n - 1)
     chain = np.arange(n - 1)
     edges = np.concatenate([
@@ -125,5 +125,5 @@ def gen_posegraph(
     y = aug.compose(aug.auq_inverse(x_true[edges[:, 0]]), x_true[edges[:, 1]])
     if noise is not None:
         y = perturb(y, noise, np.random.default_rng(noise.seed))
-    problem = PoseGraphProblem(n=n, edges=edges, measurements=y, sigma=sigma, anchor=0)
+    problem = PoseGraphProblem(n=n, edges=edges, measurements=y, sigma=sigma)
     return problem, x_true

@@ -4,14 +4,14 @@ The rotation vector r = theta * l (angle theta in [0, 2 pi), unit axis
 l) is the briefest rigid-motion encoding, but projecting it out of a
 unit quaternion,
 
-    q -> 2 arccos(q0) / |qv| * qv       (0 whenever q0^2 = 1),
+    q -> 2 log(q) = 2 atan2(|qv|, q0) / |qv| * qv    (0 when qv = 0),
 
 is discontinuous at q0 = -1: the limit of the output norm there is
-2 pi while the point itself maps to 0.  Composing rotation vectors by
-lifting through quaternions inherits a matching jump where the summed
-angle wraps past 2 pi.  discontinuity_report measures both jumps; they
-are why the 7-component pose algebra, which stays smooth, is used for
-optimization instead.
+2 pi while the point itself, whose axis is degenerate, maps to 0.
+Composing rotation vectors by lifting through quaternions inherits a
+matching jump where the summed angle wraps past 2 pi.
+discontinuity_report measures both jumps; they are why the 7-component
+pose algebra, which stays smooth, is used for optimization instead.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from . import augmented as aug
 from . import quaternion as quat
 from .errors import OutOfRange
-from .tolerances import ZERO_BRANCH_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -49,18 +48,13 @@ def identity_motion() -> Motion:
 
 
 def rotvec_from_quat(q) -> np.ndarray:
-    """Project a unit quaternion to its rotation vector.
+    """Project a unit quaternion to its rotation vector 2 qlog_vec(q).
 
-    Two-branch form: 2 arccos(q0)/|qv| * qv when q0^2 != 1, else the
-    zero vector.  Discontinuous at q0 = -1 (output norm jumps by 2 pi).
+    The angle 2 atan2(|qv|, q0) keeps full relative precision near the
+    identity.  Discontinuous at q0 = -1: the output norm tends to 2 pi
+    there, while q0 = -1 itself has a degenerate axis and maps to 0.
     """
-    q = quat._as_quat(q)
-    q0 = np.clip(q[..., :1], -1.0, 1.0)
-    qv = q[..., 1:]
-    vn = np.linalg.norm(qv, axis=-1, keepdims=True)
-    zero_branch = np.abs(q0 * q0 - 1.0) <= ZERO_BRANCH_TOL
-    scale = np.where(zero_branch, 0.0, 2.0 * np.arccos(q0) / np.where(zero_branch, 1.0, np.maximum(vn, 1e-300)))
-    return scale * qv
+    return 2.0 * quat.qlog_vec(q)
 
 
 def quat_from_rotvec(r) -> np.ndarray:
@@ -130,6 +124,8 @@ def discontinuity_report(axis, deltas) -> np.ndarray:
     """Table of jump magnitudes, one row (delta, rotvec jump, oplus jump)
     per offset; both jumps approach 2 pi as delta goes to 0."""
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    if deltas.size == 0:
+        raise ValueError("need at least one offset")
     if not np.all((deltas > 0.0) & (deltas < np.inf)):
         raise ValueError("offsets must be positive and finite")
     rows = [(d, rotvec_jump(axis, d), oplus_jump(axis, d)) for d in deltas]

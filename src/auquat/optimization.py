@@ -25,7 +25,7 @@ accepted step, and stops on their tangent gradient norm.  Steps
 (minimum-norm least squares only for a singular system) are halved until
 the objective falls and retracted by renormalizing every quaternion
 block.  A pose graph's objective is invariant under a left translation
-of each weakly connected component, so its gauge is the anchor and the
+of each weakly connected component, so its gauge is vertex 0 and the
 lowest vertex of every other component with an edge.  One breadth-first
 walk at construction yields both the gauge and the spanning forest.
 """
@@ -124,20 +124,19 @@ class HandEyeWorldProblem(HandEyeProblem):
 class PoseGraphProblem:
     """Relative pose measurements y_ij on directed edges of a graph.
 
-    Vertex `anchor` is held at the identity during solves (gauge fixing).
-    A weakly disconnected graph is not identifiable; it is accepted with
-    a warning, and the lowest vertex of every other component that has an
+    Vertex 0 is held at the identity during solves (gauge fixing).  A
+    weakly disconnected graph is not identifiable; it is accepted with a
+    warning, and the lowest vertex of every other component that has an
     edge is held at the identity too.  `gauge` lists the held vertices.
-    Construction walks the graph once, breadth first from the anchor and
-    then from each lowest unreached vertex; the walk's roots give `gauge`
-    and its tree arcs the chaining of `initial_guess()`.
+    Construction walks the graph once, breadth first from each lowest
+    unreached vertex in turn; the walk's roots give `gauge` and its tree
+    arcs the chaining of `initial_guess()`.
     """
 
     n: int
     edges: np.ndarray
     measurements: np.ndarray
     sigma: float = 1.0
-    anchor: int = 0
     initial: np.ndarray | None = None
 
     def __post_init__(self):
@@ -153,8 +152,6 @@ class PoseGraphProblem:
             raise ValueError("edge indices out of range")
         if np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise ValueError("self loops are not allowed")
-        if not 0 <= self.anchor < self.n:
-            raise ValueError("anchor index out of range")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive and finite")
         if self.initial is not None:
@@ -167,11 +164,11 @@ class PoseGraphProblem:
             adj[j].append((i, k, False))
         seen = [False] * self.n
         gauge, self._arcs = [], []  # arcs: (parent, child, edge, edge points to child)
-        for root in [self.anchor, *range(self.n)]:
+        for root in range(self.n):
             if seen[root]:
                 continue
             seen[root] = True
-            if root == self.anchor or adj[root]:
+            if root == 0 or adj[root]:
                 gauge.append(root)
             queue = deque([root])
             while queue:
@@ -233,7 +230,7 @@ def residual_slam(xi, xj, yij) -> np.ndarray:
     """Ambient residual (xi^-1 o xj) - yij.
 
     Invariant under a common left factor on xi and xj, which is the
-    gauge freedom resolved by anchoring.
+    gauge freedom resolved by holding vertex 0.
     """
     return aug.compose(aug.auq_inverse(xi), xj) - np.asarray(yij, dtype=float)
 
@@ -275,13 +272,15 @@ def gradient(problem: Problem, x) -> np.ndarray:
 def pose_error(x, x_true) -> tuple[np.ndarray | float, np.ndarray | float]:
     """(rotation geodesic distance in rad, translation distance).
 
-    The rotation part 2 arccos(|<p, p_true>|) is invariant under the
-    quaternion double cover.
+    The rotation part is 2 |qlog_vec(w)| for w = p* p_true taken with a
+    nonnegative scalar part, so it is invariant under the quaternion
+    double cover and exactly 0 for equal poses.
     """
     x = np.asarray(x, dtype=float)
     x_true = np.asarray(x_true, dtype=float)
-    dot = np.abs(np.sum(x[..., :4] * x_true[..., :4], axis=-1))
-    rot = 2.0 * np.arccos(np.clip(dot, 0.0, 1.0))
+    w = quat.qmul(quat.qconj(x[..., :4]), x_true[..., :4])
+    w = np.where(w[..., :1] < 0.0, -w, w)
+    rot = 2.0 * np.linalg.norm(quat.qlog_vec(w), axis=-1)
     trans = np.linalg.norm(x[..., 4:] - x_true[..., 4:], axis=-1)
     if rot.ndim == 0:
         return float(rot), float(trans)

@@ -176,8 +176,8 @@ def qlog_vec(q) -> np.ndarray:
 def _log_vec(q: np.ndarray) -> np.ndarray:
     """qlog_vec without input validation, for inner loops.
 
-    atan2 keeps full relative precision near the identity, where
-    arccos(q0) rounds every th below about 1.5e-8 to zero.
+    atan2 keeps full relative precision near the identity, where the
+    inverse cosine of q0 rounds every th below about 1.5e-8 to zero.
     """
     qv = q[..., 1:]
     vn = np.sqrt(np.einsum("...i,...i->...", qv, qv))[..., None]

@@ -68,6 +68,16 @@ def test_simulate_and_probe(tmp_path):
     assert first[1] >= 2 * np.pi - 1e-3
 
 
+def test_probe_measures_small_offsets(tmp_path):
+    """Both jumps read 2 pi - delta at offsets far below 1e-7 rad."""
+    report = tmp_path / "probe.txt"
+    assert main(["probe", "--deltas", "1e-7,1e-8,1e-10", "-o", str(report)]) == 0
+    table = np.loadtxt(report, skiprows=2)
+    np.testing.assert_array_equal(table[:, 0], [1e-7, 1e-8, 1e-10])
+    for column in (1, 2):
+        np.testing.assert_allclose(table[:, column], 2 * np.pi - table[:, 0], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -210,6 +220,7 @@ def test_simulate_malformed_number_list_exit_code(tmp_path, capsys, option, mess
     [
         ["gen", "--problem", "handeye", "-m", "0"],
         ["gen", "--problem", "posegraph", "-n", "3", "--loop-edges", "100"],
+        ["gen", "--problem", "posegraph", "--loop-edges", "-1"],
         ["gen", "--problem", "handeye", "--sigma", "-1"],
         ["gen", "--problem", "handeye", "--sigma", "inf"],
         ["calibrate", "PROBLEM", "--tol", "0"],
@@ -218,6 +229,7 @@ def test_simulate_malformed_number_list_exit_code(tmp_path, capsys, option, mess
         ["probe", "--deltas", "0"],
         ["probe", "--deltas", "nan"],
         ["probe", "--deltas", "inf"],
+        ["probe", "--deltas", ""],
         ["probe", "--axis=nan,0,1"],
         ["probe", "--axis=0,inf,1"],
         ["calibrate", "PROBLEM", "--max-iters", "-1"],

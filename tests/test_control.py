@@ -79,7 +79,8 @@ def test_error_angular_velocity_matrix_oracle():
     w = RNG.standard_normal((1000, 3))
     wd = RNG.standard_normal((1000, 3))
     got = ctl.error_angular_velocity(pe, w, wd)
-    want = wd - qt.rot_apply_T(pe, w)
+    sandwich = qt.qmul(qt.qmul(qt.qconj(pe), qt.vector_quat(w)), pe)
+    want = wd - sandwich[:, 1:]
     np.testing.assert_allclose(got, want, atol=ALGEBRA_ATOL)
 
 

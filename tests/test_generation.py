@@ -58,6 +58,8 @@ def test_posegraph_rejects_too_many_arcs():
     for n in range(2, 41):  # one arc more than the (n - 1)^2 off the chain
         with pytest.raises(ValueError, match=f"at most {(n - 1) ** 2} extra arcs"):
             gen.gen_posegraph(n, (n - 1) ** 2 + 1, seed=n)
+    with pytest.raises(ValueError, match="at most 81 extra arcs, got -1"):
+        gen.gen_posegraph(10, -1)
 
 
 def test_perturb_zero_noise_is_identity():

@@ -84,6 +84,16 @@ def test_lift_project_roundtrip():
         )
 
 
+@pytest.mark.parametrize("angle", [1e-7, 1e-9])
+def test_lift_project_roundtrip_small_angles(angle):
+    rng = np.random.default_rng(56)
+    for _ in range(100):
+        axis = rng.standard_normal(3)
+        r = angle * axis / np.linalg.norm(axis)
+        got = motion.rotvec_from_quat(motion.quat_from_rotvec(r))
+        np.testing.assert_allclose(got, r, rtol=0, atol=1e-12 * angle)
+
+
 # ---------------------------------------------------------------------------
 # rotation-vector composition
 
@@ -169,3 +179,5 @@ def test_discontinuity_report():
         motion.discontinuity_report([0.0, 0.0, 1.0], [-1.0])
     with pytest.raises(ValueError):
         motion.discontinuity_report([0.0, 0.0, 0.0], [1e-6])
+    with pytest.raises(ValueError, match="at least one offset"):
+        motion.discontinuity_report([0.0, 0.0, 1.0], [])

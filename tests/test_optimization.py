@@ -189,13 +189,34 @@ def test_pose_error_cases():
     flipped = x.copy()
     flipped[:4] *= -1.0
     rot, trans = opt.pose_error(flipped, x)
-    assert rot <= 1e-7 and trans == 0.0
+    assert rot == 0.0 and trans == 0.0
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     quarter_turn = np.array([c, 0.0, 0.0, s, 1.0, 2.0, 3.0])
     base = np.array([1.0, 0, 0, 0, 1.0, 2.0, 3.0])
     rot, trans = opt.pose_error(quarter_turn, base)
     assert rot == pytest.approx(np.pi / 2, rel=1e-12)
     assert trans == 0.0
+
+
+def test_pose_error_of_equal_poses_is_exactly_zero():
+    """Either quaternion sign of the same pose reads rotation 0 exactly."""
+    x = _rand_auq(10_000, rng=np.random.default_rng(32))
+    negated = x.copy()
+    negated[:, :4] *= -1.0
+    for other in (x, negated):
+        rot, trans = opt.pose_error(other, x)
+        np.testing.assert_array_equal(rot, 0.0)
+        np.testing.assert_array_equal(trans, 0.0)
+
+
+def test_pose_error_resolves_a_nanoradian():
+    x = _rand_auq(1000, rng=np.random.default_rng(33))
+    axes = qt.random_unit(np.random.default_rng(34), 1000)[:, 1:]
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    turned = x.copy()
+    turned[:, :4] = qt.qmul(x[:, :4], qt.qexp(0.5e-9 * axes))
+    rot, _ = opt.pose_error(turned, x)
+    np.testing.assert_allclose(rot, 1e-9, rtol=1e-6, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +417,7 @@ def _reference_tree_guess(problem, gauge):
 def test_gauge_and_tree_match_a_reference_walk():
     """The construction walk gives the gauge, the spanning-tree guess and the
     disconnected-graph warning of separate component and tree searches, on
-    random graphs with several components, isolated vertices and any anchor."""
+    random graphs with several components and isolated vertices."""
     rng = np.random.default_rng(41)
     disconnected = 0
     for _ in range(250):
@@ -404,15 +425,13 @@ def test_gauge_and_tree_match_a_reference_walk():
         m = int(rng.integers(0, n + 3))
         edges = rng.integers(0, n, (m, 2))
         edges = edges[edges[:, 0] != edges[:, 1]].reshape(-1, 2)
-        anchor = int(rng.integers(0, n))
         labels = _reference_component_labels(n, edges)
         roots = np.unique(labels[edges.ravel()])
-        gauge = np.sort(np.append(roots[roots != labels[anchor]], anchor))
+        gauge = np.union1d(roots, [0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             problem = opt.PoseGraphProblem(
-                n=n, edges=edges, measurements=_rand_auq(len(edges), rng=rng).reshape(-1, 7),
-                anchor=anchor,
+                n=n, edges=edges, measurements=_rand_auq(len(edges), rng=rng).reshape(-1, 7)
             )
         connected = bool(np.all(labels == labels[0]))
         disconnected += not connected
@@ -477,10 +496,7 @@ def test_gauss_newton_step_matches_dense_lstsq(kind):
         problem, x_true, y_true = gen_handeye_world(m=6, seed=4, sigma=2.0)
         x = np.stack([x_true, y_true])
     else:
-        graph, x = gen_posegraph(n=8, loop_edges=6, seed=5)
-        problem = opt.PoseGraphProblem(
-            n=graph.n, edges=graph.edges, measurements=graph.measurements, anchor=3
-        )
+        problem, x = gen_posegraph(n=8, loop_edges=6, seed=5)
     x = opt._retract(problem, x + 0.05 * rng.normal(size=x.shape))
     hess, grad, bases = opt._normal_equations(problem, x, opt._free_blocks(problem))
     delta = opt._gauss_newton_step(hess, grad)
@@ -500,10 +516,7 @@ def test_stopping_gradient_is_the_projected_gradient(kind):
     elif kind == "world":
         problem, _, _ = gen_handeye_world(m=5, seed=25, sigma=1.2)
     else:
-        graph, _ = gen_posegraph(n=6, loop_edges=4, seed=26, sigma=0.6)
-        problem = opt.PoseGraphProblem(
-            n=graph.n, edges=graph.edges, measurements=graph.measurements, sigma=0.6, anchor=2
-        )
+        problem, _ = gen_posegraph(n=6, loop_edges=4, seed=26, sigma=0.6)
     rng = np.random.default_rng(27)
     for _ in range(3):
         x = opt._retract(problem, _rand_auq(problem.n_blocks, rng=rng))
@@ -528,7 +541,7 @@ def test_posegraph_solve_starts_from_the_problem_initial_guess():
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_solve_weakly_disconnected_graph(n, monkeypatch):
-    """Two 3-cycles, only the first holding the anchor.  With n = 7 vertex 6
+    """Two 3-cycles, only the first holding vertex 0.  With n = 7 vertex 6
     has no edge, so the normal equations have zero rows and the step falls
     back to the minimum-norm least-squares solution."""
     truth = _rand_auq(n, rng=np.random.default_rng(5))
@@ -548,7 +561,7 @@ def test_solve_weakly_disconnected_graph(n, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_every_component_is_gauge_fixed(seed):
-    """Two 3-cycles: the anchor and vertex 3, the lowest vertex of the other
+    """Two 3-cycles: vertex 0 and vertex 3, the lowest vertex of the other
     component, are both held at the identity, so Gauss-Newton from the
     identity sees a nonsingular H and converges in a few iterations."""
     truth = _rand_auq(6, rng=np.random.default_rng(seed))
