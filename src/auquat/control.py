@@ -197,10 +197,10 @@ _WW_WEIGHT = {DYNAMICS_EXPONENTIAL: 1.0, DYNAMICS_TWIST: 0.5}
 # differs from np.arctan2 in the last ulp on some inputs, hence numpy's.
 _FLOAT_OPS = SimpleNamespace(
     sqrt=math.sqrt, atan2=lambda y, x: float(np.arctan2(y, x)),
-    axis_scale=lambda vn, th: th / vn if vn > AXIS_EPS else 0.0)
+    axis_scale=lambda vn, th: 0.0 if vn <= AXIS_EPS else th / vn)
 _ARRAY_OPS = SimpleNamespace(
     sqrt=np.sqrt, atan2=np.arctan2,
-    axis_scale=lambda vn, th: np.where(vn > AXIS_EPS, th / np.maximum(vn, AXIS_EPS), 0.0))
+    axis_scale=lambda vn, th: np.where(vn <= AXIS_EPS, 0.0, th / np.maximum(vn, AXIS_EPS)))
 
 
 def _closed_loop_derivative(xe, kr, kt, ww_weight: float, ops) -> tuple:

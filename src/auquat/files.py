@@ -4,9 +4,9 @@ Poses serialize as 7 decimals in [p0 p1 p2 p3 t1 t2 t3] order with 17
 significant digits, which round-trips doubles exactly.  Lines starting
 with '#' are comments; fields may be separated by whitespace or commas.
 
-  problem    SIGMA <v>; then PAIR <a: 7> <b: 7> per measurement pair, or
-             EDGE <i> <j> <y: 7> per arc with optional VERTEX <id> <7>
-             initial guesses
+  problem    SIGMA <v> (at most once); then PAIR <a: 7> <b: 7> per
+             measurement pair, or EDGE <i> <j> <y: 7> per arc with
+             optional VERTEX <id> <7> initial guesses
   truth      TRUTH <7> per unknown, or TRUTH <id> <7> per vertex
   solution   STATUS <s>, OBJECTIVE <v>, then SOLUTION <7> or VERTEX lines
   trace      header row, then: time, 7 error-state components, V
@@ -121,16 +121,18 @@ def write_problem(path, problem: Problem) -> None:
 def parse_problem_file(path, world: bool = False) -> Problem:
     """Parse a problem file; PAIR files yield the hand-eye problem, or the
     two-unknown variant when world=True."""
-    sigma = 1.0
+    sigma, sigma_line = 1.0, None
     pairs: list[np.ndarray] = []
     edges: list[list[int]] = []
     measurements: list[np.ndarray] = []
     vertex_rows: list[tuple[int, np.ndarray, int]] = []
     for line_no, keyword, indices, values in _records(path, _PROBLEM):
         if keyword == "SIGMA":
-            sigma = float(values[0])
-            if not 0.0 < sigma < np.inf:
+            if not 0.0 < values[0] < np.inf:
                 raise ParseError("sigma must be positive and finite", path, line_no)
+            if sigma_line is not None:
+                raise ParseError(f"SIGMA is repeated (first on line {sigma_line})", path, line_no)
+            sigma, sigma_line = float(values[0]), line_no
         elif keyword == "PAIR":
             pairs.append(values)
         elif keyword == "EDGE":

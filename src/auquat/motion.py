@@ -29,7 +29,7 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class Motion:
-    """Rotation vector (|r| < 2 pi) plus translation."""
+    """Rotation vector (|r| < 2 pi) plus finite translation."""
 
     r: np.ndarray
     t: np.ndarray
@@ -39,8 +39,10 @@ class Motion:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
         if self.r.shape != (3,) or self.t.shape != (3,):
             raise ValueError("motion parts must be 3-vectors")
-        if np.linalg.norm(self.r) >= TWO_PI:
+        if not np.linalg.norm(self.r) < TWO_PI:  # NaN fails this too
             raise OutOfRange("rotation vector norm must lie in [0, 2 pi)")
+        if not np.all(np.isfinite(self.t)):
+            raise ValueError("translation must be finite")
 
 
 def identity_motion() -> Motion:
@@ -61,10 +63,10 @@ def quat_from_rotvec(r) -> np.ndarray:
     """Lift a rotation vector to the half-angle unit quaternion.
 
     r = theta * l maps to [cos(theta/2), l sin(theta/2)]; requires
-    |r| < 2 pi, raising OutOfRange beyond.
+    |r| < 2 pi, raising OutOfRange beyond or for NaN.
     """
     r = quat._as_vec3(r)
-    if np.any(np.linalg.norm(r, axis=-1) >= TWO_PI):
+    if not np.all(np.linalg.norm(r, axis=-1) < TWO_PI):
         raise OutOfRange("rotation vector norm must lie in [0, 2 pi)")
     return quat.qexp(0.5 * r)
 

@@ -114,9 +114,7 @@ class HandEyeWorldProblem(HandEyeProblem):
         return residual_handeye_world(x[0], x[1], self.a, self.b)
 
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        jac = np.empty((self.pair_count, 2, 7, 7))
-        jac[:, 0] = _compose_jac_right(self.a, x[0])
-        jac[:, 1] = -_compose_jac_left(self.b)
+        jac = np.stack([_compose_jac_right(self.a, x[0]), -_compose_jac_left(self.b)], axis=1)
         return self.residuals(x), np.tile([0, 1], (self.pair_count, 1)), jac
 
 
@@ -193,9 +191,8 @@ class PoseGraphProblem:
 
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xi, xj = x[self.edges[:, 0]], x[self.edges[:, 1]]
-        jac = np.empty((len(self.edges), 2, 7, 7))
-        jac[:, 0] = _compose_jac_left(xj) @ _auq_inverse_jac(xi)
-        jac[:, 1] = _compose_jac_right(aug.auq_inverse(xi), xj)
+        jac = np.stack([_compose_jac_left(xj) @ _auq_inverse_jac(xi),
+                        _compose_jac_right(aug.auq_inverse(xi), xj)], axis=1)
         return self.residuals(x), self.edges, jac
 
     def initial_guess(self) -> np.ndarray:
@@ -290,7 +287,16 @@ def pose_error(x, x_true) -> tuple[np.ndarray | float, np.ndarray | float]:
 # ---------------------------------------------------------------------------
 # jacobian blocks (ambient, 7x7 per residual)
 
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # quaternion conjugation
+
+def _jacobian(qq, tq, tt) -> np.ndarray:
+    """The (..., 7, 7) Jacobian [[qq, 0], [tq, tt]] of a map [p, t] -> [p', t']
+    whose p' depends on p alone, broadcast over the blocks' batch shapes."""
+    batch = np.broadcast_shapes(qq.shape[:-2], tq.shape[:-2], tt.shape[:-2])
+    out = np.zeros(batch + (7, 7))
+    out[..., :4, :4] = qq
+    out[..., 4:, :4] = tq
+    out[..., 4:, 4:] = tt
+    return out
 
 
 def _d_rot_dq(p, t) -> np.ndarray:
@@ -309,38 +315,28 @@ def _d_rot_dq(p, t) -> np.ndarray:
 
 
 def _compose_jac_left(y) -> np.ndarray:
-    """d compose(x, y) / d x; depends only on y.  Shape (..., 7, 7)."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(y.shape[:-1] + (7, 7))
-    out[..., :4, :4] = quat.right_matrix(y[..., :4])
-    out[..., 4:, 4:] = quat.rot_matrix_T(y[..., :4])
-    return out
+    """d compose(x, y) / d x = [[Rm(q), 0], [0, R(q)^T]] for y = [q, u]."""
+    q = np.asarray(y, dtype=float)[..., :4]
+    return _jacobian(quat.right_matrix(q), np.zeros((3, 4)), quat.rot_matrix_T(q))
 
 
 def _compose_jac_right(x, y) -> np.ndarray:
-    """d compose(x, y) / d y.  Shape (..., 7, 7)."""
+    """d compose(x, y) / d y = [[L(p), 0], [d(R(q)^T t)/dq, I]] for x = [p, t].
+
+    R(q)^T t = R(q*) t, so its q-derivative is that of R at q* with the
+    last three columns negated (qconj of each row); both steps are exact.
+    """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    out = np.zeros(batch + (7, 7))
-    out[..., :4, :4] = quat.left_matrix(x[..., :4])
-    # R(q)^T t = R(q*) t, and dq*/dq = diag(_CONJ)
-    out[..., 4:, :4] = _d_rot_dq(
-        np.broadcast_to(y[..., :4] * _CONJ, batch + (4,)), np.broadcast_to(x[..., 4:], batch + (3,))
-    ) * _CONJ
-    out[..., 4:, 4:] = np.eye(3)
-    return out
+    q = np.asarray(y, dtype=float)[..., :4]
+    d_dq = quat.qconj(_d_rot_dq(quat.qconj(q), x[..., 4:]))
+    return _jacobian(quat.left_matrix(x[..., :4]), d_dq, np.eye(3))
 
 
 def _auq_inverse_jac(x) -> np.ndarray:
-    """d [p*, -R(p) t] / d [p, t].  Shape (..., 7, 7)."""
+    """d [p*, -R(p) t] / d [p, t] = [[diag(1, -1, -1, -1), 0], [-d(R(p) t)/dp, -R(p)]]."""
     x = np.asarray(x, dtype=float)
     p, t = x[..., :4], x[..., 4:]
-    out = np.zeros(x.shape[:-1] + (7, 7))
-    out[..., :4, :4] = np.diag(_CONJ)
-    out[..., 4:, :4] = -_d_rot_dq(p, t)
-    out[..., 4:, 4:] = -quat.rot_matrix(p)
-    return out
+    return _jacobian(np.diag(quat.qconj(np.ones(4))), -_d_rot_dq(p, t), -quat.rot_matrix(p))
 
 
 # ---------------------------------------------------------------------------

@@ -161,28 +161,24 @@ def qlog(q) -> np.ndarray:
     """Logarithm of a unit quaternion [cos th, l sin th] -> [0, th l].
 
     th = atan2(|qv|, q0) is taken on the short arc [0, pi]; a degenerate
-    axis (vector part below AXIS_EPS) maps to the zero vector quaternion.
+    axis (|qv| <= AXIS_EPS) maps to the zero vector quaternion.
     """
-    q = _as_quat(q)
-    zero = np.zeros(q.shape[:-1] + (1,))
-    return np.concatenate([zero, _log_vec(q)], axis=-1)
+    v = qlog_vec(q)
+    return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
 
 
 def qlog_vec(q) -> np.ndarray:
-    """Vector part of qlog(q): the rotation vector th l with th in [0, pi]."""
-    return _log_vec(_as_quat(q))
-
-
-def _log_vec(q: np.ndarray) -> np.ndarray:
-    """qlog_vec without input validation, for inner loops.
+    """Vector part of qlog(q): the rotation vector th l with th in [0, pi].
 
     atan2 keeps full relative precision near the identity, where the
-    inverse cosine of q0 rounds every th below about 1.5e-8 to zero.
+    inverse cosine of q0 rounds every th below about 1.5e-8 to zero.  A
+    NaN vector part gives NaN, not the degenerate axis.
     """
+    q = _as_quat(q)
     qv = q[..., 1:]
     vn = np.sqrt(np.einsum("...i,...i->...", qv, qv))[..., None]
     theta = np.arctan2(vn, q[..., :1])
-    return np.where(vn > AXIS_EPS, qv * (theta / np.maximum(vn, AXIS_EPS)), 0.0)
+    return np.where(vn <= AXIS_EPS, 0.0, qv * (theta / np.maximum(vn, AXIS_EPS)))
 
 
 def qexp(v) -> np.ndarray:

@@ -322,3 +322,18 @@ def test_compose_and_inverse_are_smooth(h):
         np.testing.assert_allclose(jy, _compose_jac_right(x, y), atol=1e-10)
         jinv = _fd_jacobian(aug.auq_inverse, x, h)
         np.testing.assert_allclose(jinv, _auq_inverse_jac(x), atol=1e-10)
+
+
+def test_jacobian_builders_broadcast_like_rows():
+    # one pose against a batch (the hand-eye kernel passes (m, 7) and (7,))
+    # and a batch against a batch equal the row-by-row Jacobians exactly
+    from auquat.optimization import _auq_inverse_jac, _compose_jac_left, _compose_jac_right
+
+    rng = np.random.default_rng(12)
+    one, xs, ys = _rand_auq(rng=rng), _rand_auq(6, rng), _rand_auq(6, rng)
+    for x, y in [(xs, one), (one, ys), (xs, ys)]:
+        rows = zip(np.broadcast_to(x, xs.shape), np.broadcast_to(y, ys.shape))
+        np.testing.assert_array_equal(_compose_jac_right(x, y),
+                                      [_compose_jac_right(a, b) for a, b in rows])
+    for jac in (_compose_jac_left, _auq_inverse_jac):
+        np.testing.assert_array_equal(jac(xs), [jac(a) for a in xs])

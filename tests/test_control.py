@@ -261,13 +261,13 @@ def test_single_plant_kernel_runs_on_floats(monkeypatch):
     # the float kernel takes no log of an array; the only call left is
     # the one that derives theta from all kept states after the loop
     calls = []
-    log_vec = qt._log_vec
+    log_vec = qt.qlog_vec
 
     def counted(q):
         calls.append(q.shape)
         return log_vec(q)
 
-    monkeypatch.setattr(qt, "_log_vec", counted)
+    monkeypatch.setattr(qt, "qlog_vec", counted)
     x0, xd, gains = _rand_auq(), _rand_auq(), _rand_gains()
     counts = []
     for steps in (10, 1000):
@@ -275,6 +275,13 @@ def test_single_plant_kernel_runs_on_floats(monkeypatch):
         ctl.integrate(x0, xd, gains, 1e-3, steps)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
+
+
+def test_a_nan_rotation_error_is_not_the_zero_rotation():
+    # V of a NaN quaternion must be NaN, and so must each kernel's log scale
+    assert np.isnan(ctl.lyapunov(np.array([np.nan] * 4 + [0.0] * 3)))
+    for ops in (ctl._FLOAT_OPS, ctl._ARRAY_OPS):
+        assert np.isnan(ops.axis_scale(np.nan, np.nan))
 
 
 def test_batch_gains_of_shape_3_are_shared():

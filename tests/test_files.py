@@ -141,6 +141,8 @@ def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content,
         ("EDGE -1 1 1 0 0 0 0 0 0\n", "nonnegative integer", 1),
         ("VERTEX -1 1 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n", "nonnegative integer", 1),
         ("SIGMA 1\nSIGMA inf\nPAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\n", "sigma must be", 2),
+        ("SIGMA 1\nPAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\nSIGMA 7\n",
+         r"SIGMA is repeated \(first on line 1\)", 3),
         ("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 1 1 0 0 0 0 0 0\n", "self loops", 2),
         ("PAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\nPAIR 1 0 0 0 0 0 0 2 0 0 0 0 0 0\n",
          "norm deviates", 2),
@@ -151,8 +153,8 @@ def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content,
         ("VERTEX 0 1 0 0 0 0 0 0\nVERTEX 1 0.5 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n",
          "norm deviates", 2),
     ],
-    ids=["edge-negative", "vertex-negative", "sigma-inf", "edge-self-loop", "pair-non-unit",
-         "pair-non-finite", "edge-non-finite", "vertex-non-unit"],
+    ids=["edge-negative", "vertex-negative", "sigma-inf", "sigma-repeated", "edge-self-loop",
+         "pair-non-unit", "pair-non-finite", "edge-non-finite", "vertex-non-unit"],
 )
 def test_problem_reader_names_the_bad_records_line(tmp_path, content, fragment, line):
     path = tmp_path / "bad.txt"

@@ -25,6 +25,10 @@ def test_rotvec_from_quat_identity_branch():
     np.testing.assert_array_equal(motion.rotvec_from_quat([-1.0, 0, 0, 0]), np.zeros(3))
 
 
+def test_rotvec_from_quat_of_nan_is_nan():
+    assert np.all(np.isnan(motion.rotvec_from_quat([np.nan] * 4)))
+
+
 def test_rotvec_from_quat_direct_value():
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     np.testing.assert_allclose(
@@ -164,6 +168,27 @@ def test_motion_compose_matches_pose_lift():
 def test_motion_range_invariant():
     with pytest.raises(OutOfRange):
         motion.Motion(np.array([2 * np.pi, 0.0, 0.0]), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "r, t, error",
+    [
+        ([np.nan, 0.0, 0.0], [0.0, 0.0, 0.0], OutOfRange),
+        ([0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], ValueError),
+        ([0.0, 0.0, 0.0], [0.0, np.nan, 0.0], ValueError),
+    ],
+)
+def test_motion_rejects_non_finite_parts(r, t, error):
+    with pytest.raises(error):
+        motion.Motion(np.array(r), np.array(t))
+
+
+def test_nan_rotation_vector_is_out_of_range():
+    # |r| >= 2 pi is False for NaN, which must not lift or compose to a rotation
+    with pytest.raises(OutOfRange):
+        motion.quat_from_rotvec([np.nan, 0.0, 0.0])
+    with pytest.raises(OutOfRange):
+        motion.rot_oplus([np.nan, 0.0, 0.0], [0.0, 0.0, 1.0])
 
 
 def test_discontinuity_report():

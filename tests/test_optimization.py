@@ -219,6 +219,11 @@ def test_pose_error_resolves_a_nanoradian():
     np.testing.assert_allclose(rot, 1e-9, rtol=1e-6, atol=0)
 
 
+def test_pose_error_of_a_nan_quaternion_is_nan():
+    rot, trans = opt.pose_error(np.array([np.nan] * 4 + [0.0] * 3), aug.identity())
+    assert np.isnan(rot) and trans == 0.0
+
+
 # ---------------------------------------------------------------------------
 # solver behaviour
 

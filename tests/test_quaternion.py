@@ -312,6 +312,12 @@ def test_qlog_degenerate_axis_is_zero():
     np.testing.assert_array_equal(qt.qlog([-1.0, 0.0, 0.0, 0.0]), np.zeros(4))
 
 
+@pytest.mark.parametrize("q", [[np.nan] * 4, [0.5, np.nan, 0.5, 0.5]])
+def test_qlog_of_a_nan_vector_part_is_nan(q):
+    # a NaN |qv| must not pass for the degenerate axis, which maps to 0
+    assert np.all(np.isnan(qt.qlog_vec(q)))
+
+
 @pytest.mark.parametrize("angle", [1e-6, 1e-9, 1e-11])
 def test_qlog_keeps_relative_precision_near_identity(angle):
     # arccos(q0) loses half the digits here and returns 0 below ~1.5e-8
