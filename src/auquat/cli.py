@@ -60,6 +60,13 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+_GENERATORS = {
+    "handeye": gen.gen_handeye,
+    "handeye-world": gen.gen_handeye_world,
+    "posegraph": gen.gen_posegraph,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     solver, weights, noise = SolverConfig(), LyapunovWeights(), NoiseModel()
     parser = argparse.ArgumentParser(prog="auquat", description=__doc__)
@@ -68,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic problem instance with ground truth")
     p.set_defaults(run=_run_gen)
-    p.add_argument("--problem", required=True, choices=["handeye", "handeye-world", "posegraph"])
+    p.add_argument("--problem", required=True, choices=list(_GENERATORS))
     p.add_argument("-m", "--pairs", type=int, default=5, help="measurement pairs (hand-eye)")
     p.add_argument("-n", "--vertices", type=int, default=10, help="vertex count (pose graph)")
     p.add_argument("--loop-edges", type=int, default=10, help="extra arcs beyond the chain")
@@ -119,20 +126,11 @@ def _run_gen(args) -> int:
     noise = None
     if args.rot_noise or args.trans_noise:
         noise = NoiseModel(args.rot_noise, args.trans_noise, args.noise_seed)
-    if args.problem == "handeye":
-        problem, truth = gen.gen_handeye(args.pairs, args.seed, args.sigma, noise)
-        indexed = False
-    elif args.problem == "handeye-world":
-        problem, x_true, y_true = gen.gen_handeye_world(args.pairs, args.seed, args.sigma, noise)
-        truth = np.stack([x_true, y_true])
-        indexed = False
-    else:
-        problem, truth = gen.gen_posegraph(
-            args.vertices, args.loop_edges, args.seed, args.sigma, noise
-        )
-        indexed = True
+    posegraph = args.problem == "posegraph"
+    size = (args.vertices, args.loop_edges) if posegraph else (args.pairs,)
+    problem, *truth = _GENERATORS[args.problem](*size, args.seed, args.sigma, noise)
     files.write_problem(args.output, problem)
-    files.write_truth(args.truth or args.output + ".truth", truth, indexed=indexed)
+    files.write_truth(args.truth or args.output + ".truth", np.vstack(truth), indexed=posegraph)
     return 0
 
 
@@ -153,19 +151,8 @@ def _run_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     start = args.start if args.start is not None else gen.random_auq(rng)
     target = args.target if args.target is not None else gen.random_auq(rng)
-    try:
-        trace = integrate(
-            start,
-            target,
-            Gains(args.kr, args.kt),
-            args.dt,
-            args.steps,
-            weights=LyapunovWeights(args.alpha, args.beta),
-            dynamics=args.dynamics,
-        )
-    except StepDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    trace = integrate(start, target, Gains(args.kr, args.kt), args.dt, args.steps,
+                      weights=LyapunovWeights(args.alpha, args.beta), dynamics=args.dynamics)
     files.write_trace(args.output, trace)
     return 0
 
@@ -175,19 +162,20 @@ def _run_probe(args) -> int:
     return 0
 
 
+# Exit code of each failure.  ValueError is a malformed file (ParseError)
+# or an invalid option value, NonFiniteObjective measurements so large
+# that the objective overflows, StepDiverged a diverged simulation.
+_EXIT_CODES = {OSError: 1, ValueError: 2, NonFiniteObjective: 2, StepDiverged: 3}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_glue_negative_values(argv))
     try:
         return args.run(args)
-    except (ValueError, NonFiniteObjective) as exc:
-        # a malformed file (ParseError), an invalid option value, or
-        # measurements so large that the objective overflows
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

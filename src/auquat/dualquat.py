@@ -68,10 +68,10 @@ def check_unit(q) -> np.ndarray:
     """
     q = _as_dq(q)
     dev = np.abs(quat.qnorm(q[..., :4]) - 1.0)
-    if np.any(dev > ALGEBRA_ATOL):
+    if not np.all(dev <= ALGEBRA_ATOL):
         raise ConstraintViolated(f"standard part norm deviates by {float(np.max(dev)):.3e}")
     defect = np.linalg.norm(orthogonality_defect(q), axis=-1)
-    if np.any(defect > ALGEBRA_ATOL):
+    if not np.all(defect <= ALGEBRA_ATOL):
         raise ConstraintViolated(f"orthogonality defect {float(np.max(defect)):.3e}")
     return q
 

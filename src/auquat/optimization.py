@@ -28,6 +28,8 @@ block.  A pose graph's objective is invariant under a left translation
 of each weakly connected component, so its gauge is vertex 0 and the
 lowest vertex of every other component with an edge.  One breadth-first
 walk at construction yields both the gauge and the spanning forest.
+`solve` sets the gauge blocks of every start to the identity, and no
+step moves them.
 """
 
 from __future__ import annotations
@@ -196,9 +198,9 @@ class PoseGraphProblem:
         return self.residuals(x), self.edges, jac
 
     def initial_guess(self) -> np.ndarray:
-        """`initial` with the gauge at the identity, else chaining along the walk's tree arcs."""
+        """`initial` renormalized, else chaining along the walk's tree arcs."""
         if self.initial is not None:
-            return _retract(self, self.initial)
+            return _retract(self.initial)
         x = np.tile(aug.identity(), (self.n, 1))
         for i, j, k, forward in self._arcs:
             y = self.measurements[k]
@@ -395,26 +397,17 @@ def _free_blocks(problem: Problem) -> np.ndarray:
     return np.setdiff1d(np.arange(problem.n_blocks), problem.gauge)
 
 
-def _retract(problem: Problem, x) -> np.ndarray:
+def _retract(x) -> np.ndarray:
     out = x.copy()
     out[:, :4] /= np.linalg.norm(out[:, :4], axis=-1, keepdims=True)
-    out[problem.gauge] = aug.IDENTITY
     return out
-
-
-def _random_init(problem: Problem, rng) -> np.ndarray:
-    x = aug.random_auq(rng, problem.n_blocks)
-    x[problem.gauge] = aug.IDENTITY
-    return x
 
 
 def _check_init(problem: Problem, init) -> np.ndarray:
     try:
-        init = aug.as_auq(_as_blocks(problem, init))
+        return aug.as_auq(_as_blocks(problem, init))
     except ValueError as exc:
         raise InfeasibleInit(f"infeasible initial guess: {exc}") from None
-    init[problem.gauge] = aug.IDENTITY
-    return init
 
 
 def _normal_equations(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -461,6 +454,9 @@ def _gauss_newton_step(hess, grad) -> np.ndarray:
 def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
     """Tangent-space Gauss-Newton with step halving from a feasible x.
 
+    x's gauge blocks must be the identity; the step is zero there, so
+    every trial point keeps them exactly.
+
     The normal equations are assembled at x and after each accepted step,
     which strictly lowers the objective.  The loop ends when the cap is
     spent, no halved step lowers it, or the relative decrease drops to
@@ -483,7 +479,7 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         step[free, 4:] = delta[:, 3:]
         alpha = 1.0
         while alpha >= 2.0 ** -24:
-            x_new = _retract(problem, x + alpha * step)
+            x_new = _retract(x + alpha * step)
             f_new = objective(problem, x_new)
             if np.isfinite(f_new) and f_new < f:
                 break
@@ -510,7 +506,8 @@ def solve(problem: Problem, config: SolverConfig | None = None, init=None) -> So
 
     Restart 0 starts from `init` when given, else from
     problem.initial_guess(); later restarts draw random feasible points
-    from config.seed.  Restarting stops at the first converged restart,
+    from config.seed.  Every start's gauge blocks are set to the
+    identity.  Restarting stops at the first converged restart,
     which is returned; if none converges, the lowest-objective one is.
     """
     cfg = config if config is not None else SolverConfig()
@@ -518,7 +515,9 @@ def solve(problem: Problem, config: SolverConfig | None = None, init=None) -> So
     x0 = problem.initial_guess() if init is None else _check_init(problem, init)
     records: list[RestartRecord] = []
     for r in range(cfg.restarts):
-        records.append(_descend(problem, x0 if r == 0 else _random_init(problem, rng), cfg))
+        x = x0 if r == 0 else aug.random_auq(rng, problem.n_blocks)
+        x[problem.gauge] = aug.IDENTITY
+        records.append(_descend(problem, x, cfg))
         if records[-1].status == STATUS_CONVERGED:
             break
     # only the last record can be converged

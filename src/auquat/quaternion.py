@@ -172,13 +172,13 @@ def qlog_vec(q) -> np.ndarray:
 
     atan2 keeps full relative precision near the identity, where the
     inverse cosine of q0 rounds every th below about 1.5e-8 to zero.  A
-    NaN vector part gives NaN, not the degenerate axis.
+    NaN component gives NaN, not the degenerate axis or the zero rotation.
     """
     q = _as_quat(q)
     qv = q[..., 1:]
     vn = np.sqrt(np.einsum("...i,...i->...", qv, qv))[..., None]
     theta = np.arctan2(vn, q[..., :1])
-    return np.where(vn <= AXIS_EPS, 0.0, qv * (theta / np.maximum(vn, AXIS_EPS)))
+    return np.where(vn <= AXIS_EPS, 0.0 * theta, qv * (theta / np.maximum(vn, AXIS_EPS)))
 
 
 def qexp(v) -> np.ndarray:
@@ -189,7 +189,7 @@ def qexp(v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] == 4:
-        if np.any(np.abs(v[..., 0]) > AXIS_EPS):
+        if not np.all(np.abs(v[..., 0]) <= AXIS_EPS):
             raise ValueError("scalar slot of a vector quaternion must be 0")
         v = v[..., 1:]
     v = _as_vec3(v)

@@ -5,6 +5,7 @@ import pytest
 
 from auquat import augmented as aug
 from auquat import control as ctl
+from auquat import motion
 from auquat import quaternion as qt
 from auquat.errors import StepDiverged
 from auquat.tolerances import ALGEBRA_ATOL
@@ -282,6 +283,14 @@ def test_a_nan_rotation_error_is_not_the_zero_rotation():
     assert np.isnan(ctl.lyapunov(np.array([np.nan] * 4 + [0.0] * 3)))
     for ops in (ctl._FLOAT_OPS, ctl._ARRAY_OPS):
         assert np.isnan(ops.axis_scale(np.nan, np.nan))
+
+
+def test_a_nan_scalar_part_is_not_the_zero_rotation():
+    # the vector part is exactly zero, so only the NaN angle can carry the NaN
+    q = np.array([np.nan, 0.0, 0.0, 0.0])
+    assert np.all(np.isnan(qt.qlog_vec(q)))
+    assert np.all(np.isnan(motion.rotvec_from_quat(q)))
+    assert np.isnan(ctl.lyapunov(np.concatenate([q, np.zeros(3)])))
 
 
 def test_batch_gains_of_shape_3_are_shared():

@@ -94,3 +94,12 @@ def test_to_auq_rejects_non_unit_standard_part():
     bad[:4] *= 1.5
     with pytest.raises(ConstraintViolated):
         dq.to_auq(bad)
+
+
+def test_check_unit_rejects_nan():
+    # a NaN standard part fails the norm test, a NaN dual part the orthogonality test
+    for bad in ([np.nan] * 8, [1.0, 0.0, 0.0, 0.0, np.nan, 0.0, 0.0, 0.0]):
+        with pytest.raises(ConstraintViolated):
+            dq.check_unit(bad)
+        with pytest.raises(ConstraintViolated):
+            dq.to_auq(bad)

@@ -231,7 +231,7 @@ def test_pose_error_of_a_nan_quaternion_is_nan():
 def test_solver_descent_without_refinement():
     problem, _ = gen_handeye(m=5, seed=10)
     cfg = opt.SolverConfig(max_iters=150, restarts=1, seed=0)
-    x0 = opt._random_init(problem, np.random.default_rng(0))
+    x0 = aug.random_auq(np.random.default_rng(0), problem.n_blocks)
     f0 = opt.objective(problem, x0)
     record = opt._descend(problem, x0, cfg)
     assert record.objective < f0
@@ -242,7 +242,7 @@ def test_solver_descent_without_refinement():
 def test_solver_trace_is_monotone():
     problem, _ = gen_handeye(m=5, seed=11)
     cfg = opt.SolverConfig(max_iters=100, restarts=1)
-    x = opt._random_init(problem, np.random.default_rng(1))
+    x = aug.random_auq(np.random.default_rng(1), problem.n_blocks)
     values = [opt.objective(problem, x)]
     for _ in range(30):
         record = opt._descend(problem, x, opt.SolverConfig(max_iters=1, restarts=1))
@@ -502,7 +502,8 @@ def test_gauss_newton_step_matches_dense_lstsq(kind):
         x = np.stack([x_true, y_true])
     else:
         problem, x = gen_posegraph(n=8, loop_edges=6, seed=5)
-    x = opt._retract(problem, x + 0.05 * rng.normal(size=x.shape))
+    x = opt._retract(x + 0.05 * rng.normal(size=x.shape))
+    x[problem.gauge] = aug.IDENTITY
     hess, grad, bases = opt._normal_equations(problem, x, opt._free_blocks(problem))
     delta = opt._gauss_newton_step(hess, grad)
     reference = _dense_lstsq_step(problem, x)
@@ -524,7 +525,8 @@ def test_stopping_gradient_is_the_projected_gradient(kind):
         problem, _ = gen_posegraph(n=6, loop_edges=4, seed=26, sigma=0.6)
     rng = np.random.default_rng(27)
     for _ in range(3):
-        x = opt._retract(problem, _rand_auq(problem.n_blocks, rng=rng))
+        x = opt._retract(_rand_auq(problem.n_blocks, rng=rng))
+        x[problem.gauge] = aug.IDENTITY
         _, grad, _ = opt._normal_equations(problem, x, opt._free_blocks(problem))
         g = opt.gradient(problem, x).reshape(-1, 7)
         g[:, :4] -= np.sum(g[:, :4] * x[:, :4], axis=-1, keepdims=True) * x[:, :4]
@@ -580,3 +582,23 @@ def test_every_component_is_gauge_fixed(seed):
     assert result.status == opt.STATUS_CONVERGED
     assert result.iterations <= 20
     np.testing.assert_array_equal(result.solution[[0, 3]], np.tile(aug.IDENTITY, (2, 1)))
+
+
+def test_every_start_holds_the_gauge():
+    """Restart 0 from `initial` or from `init`, and every random restart,
+    starts with the held vertices at the identity and keeps them there."""
+    truth = _rand_auq(6, rng=np.random.default_rng(30))
+    edges = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]])
+    y = aug.compose(aug.auq_inverse(truth[edges[:, 0]]), truth[edges[:, 1]])
+    start = _rand_auq(6, rng=np.random.default_rng(31))
+    with pytest.warns(UserWarning):
+        problem = opt.PoseGraphProblem(n=6, edges=edges, measurements=y, initial=start)
+    np.testing.assert_array_equal(problem.gauge, [0, 3])
+    assert not np.any(np.all(start[problem.gauge] == aug.IDENTITY, axis=-1))
+    held = np.tile(aug.IDENTITY, (2, 1))
+    for init in (None, _rand_auq(6, rng=np.random.default_rng(32))):
+        for max_iters in (0, 5):
+            result = opt.solve(problem, opt.SolverConfig(max_iters, restarts=3), init=init)
+            assert len(result.restarts) == 3 or max_iters > 0
+            for record in result.restarts:
+                assert record.solution[problem.gauge].tobytes() == held.tobytes()

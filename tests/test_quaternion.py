@@ -289,6 +289,12 @@ def test_qexp_rejects_nonzero_scalar():
         qt.qexp([0.5, 1.0, 0.0, 0.0])
 
 
+def test_qexp_rejects_a_nan_scalar():
+    # a NaN scalar slot must not pass for 0 and map to the identity
+    with pytest.raises(ValueError):
+        qt.qexp([np.nan, 0.0, 0.0, 0.0])
+
+
 def test_exp_log_roundtrip_random():
     q = qt.random_unit(RNG, N_SAMPLES)
     back = qt.qexp(qt.qlog(q))
