@@ -18,6 +18,7 @@ converge (the solution file is still written) or simulation diverged
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -67,6 +68,9 @@ _GENERATORS = {
 }
 
 
+# Built once per process; parse_args leaves the parser as it was, and no
+# runner writes into the array defaults that every call shares.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     solver, weights, noise = SolverConfig(), LyapunovWeights(), NoiseModel()
     parser = argparse.ArgumentParser(prog="auquat", description=__doc__)

@@ -19,9 +19,9 @@ hand-eye, 2 otherwise); `gauge`, the blocks held at the identity; and
 `initial_guess()` (identity blocks; for pose graphs `initial`, or else a
 spanning-forest chaining of the measurements).  The gradient J^T W z and
 the Gauss-Newton step both read `linearize`.  Each restart is one
-tangent-space Gauss-Newton loop.  It assembles the normal equations from
-the 6x6 tangent blocks of every residual at its start and after each
-accepted step, and stops on their tangent gradient norm.  Steps
+tangent-space Gauss-Newton loop on the normal equations, summed from the
+6x6 tangent blocks of every residual.  Before each step it tests their
+tangent gradient norm, so a converged start takes no step.  Steps
 (minimum-norm least squares only for a singular system) are halved until
 the objective falls and retracted by renormalizing every quaternion
 block.  A pose graph's objective is invariant under a left translation
@@ -349,11 +349,11 @@ def _auq_inverse_jac(x) -> np.ndarray:
 class SolverConfig:
     """Stopping rule and restart strategy.
 
-    Each restart runs at most max_iters tangent-space Gauss-Newton
-    iterations and is converged when its tangent gradient norm is at
-    most grad_tol.  At most `restarts` restarts run; the first converged
-    one ends the solve.  The retraction is fixed: quaternion blocks are
-    renormalized after every ambient update.
+    Each restart takes at most max_iters tangent-space Gauss-Newton
+    steps and stops converged, before a step, once its tangent gradient
+    norm is at most grad_tol.  At most `restarts` restarts run; the first
+    converged one ends the solve.  Quaternion blocks are renormalized
+    after every ambient update.
     """
 
     max_iters: int = 60
@@ -458,9 +458,9 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
     every trial point keeps them exactly.
 
     The normal equations are assembled at x and after each accepted step,
-    which strictly lowers the objective.  The loop ends when the cap is
-    spent, no halved step lowers it, or the relative decrease drops to
-    rounding level; the status comes from |g| of the last assembly.
+    which strictly lowers f.  The loop ends before a step once |g| <=
+    grad_tol, else when the cap is spent, no halved step lowers f, or the
+    relative decrease is at rounding level; the last |g| sets the status.
     """
     f = objective(problem, x)
     if not np.isfinite(f):
@@ -470,9 +470,11 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
     iterations = 0
     status = STATUS_STALLED
     for _ in range(cfg.max_iters):
+        if np.linalg.norm(grad) <= cfg.grad_tol:
+            break
         delta = _gauss_newton_step(hess, grad)
         del hess  # else two 6k x 6k matrices are alive while the next one is assembled
-        if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) <= 1e-16 * (1.0 + np.linalg.norm(x)):
+        if not np.all(np.isfinite(delta)):
             break
         step = np.zeros_like(x)
         step[free, :4] = np.einsum("kij,kj->ki", bases, delta[:, :3])
@@ -490,7 +492,7 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         x, f = x_new, f_new
         iterations += 1
         hess, grad, bases = _normal_equations(problem, x, free)
-        if f <= 1e-30 or improvement <= 1e-15 * max(f, 1e-300):
+        if improvement <= 1e-15 * f:
             break
     else:  # the cap was spent
         status = STATUS_MAX_ITERS

@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -355,3 +357,33 @@ def test_every_subcommand_has_help_and_a_runner(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: auquat {command}")
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    """Subparsers are parsers too; only the top-level one has prog "auquat"."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for name in ("a.txt", "b.txt"):
+        assert main(["probe", "-o", str(tmp_path / name)]) == 0
+    assert built.count("auquat") == 1
+
+
+def test_shared_array_defaults_are_not_written(tmp_path):
+    """Every main call shares the parser's array defaults: two default-gain
+    simulate runs write the same bytes, and the defaults keep their values."""
+    outs = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for out in outs:
+        assert main(["simulate", "--steps", "200", "--seed", "3", "-o", str(out)]) == 0
+        assert main(["probe", "-o", str(out) + ".probe"]) == 0
+    assert _read(outs[0]) == _read(outs[1])
+    assert _read(str(outs[0]) + ".probe") == _read(str(outs[1]) + ".probe")
+    simulate, probe = _defaults("simulate"), _defaults("probe")
+    for values, declared in ((simulate.kr, np.ones(3)), (simulate.kt, np.ones(3)),
+                             (probe.axis, [0.0, 0.0, 1.0]), (probe.deltas, [1e-6, 1e-4, 1e-2, 1.0])):
+        np.testing.assert_array_equal(values, declared)

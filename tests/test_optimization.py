@@ -546,11 +546,38 @@ def test_posegraph_solve_starts_from_the_problem_initial_guess():
     np.testing.assert_allclose(result.solution, expected, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["posegraph", "handeye", "world"])
+def test_solve_that_starts_converged_takes_no_step(kind, monkeypatch):
+    """A start whose tangent gradient already meets grad_tol ends its
+    restart before any step: one linearization, one objective call, and
+    the gauge-fixed start returned bit for bit."""
+    init = None
+    if kind == "posegraph":
+        problem, _ = gen_posegraph(25, 25, 22)
+    elif kind == "handeye":
+        problem, x_true = gen_handeye(10, seed=22)
+        init = x_true[None]
+    else:
+        problem, *truth = gen_handeye_world(10, seed=22)
+        init = np.stack(truth)
+    start = problem.initial_guess() if init is None else aug.as_auq(init)
+    start[problem.gauge] = aug.IDENTITY
+    linearized, evaluated = [], []
+    linearize, objective = problem.linearize, opt.objective
+    monkeypatch.setattr(problem, "linearize", lambda x: linearized.append(1) or linearize(x))
+    monkeypatch.setattr(opt, "objective", lambda *a: evaluated.append(1) or objective(*a))
+    result = opt.solve(problem, init=init)
+    assert (result.iterations, result.status) == (0, opt.STATUS_CONVERGED)
+    assert (len(linearized), len(evaluated)) == (1, 1)
+    assert result.solution.tobytes() == start.tobytes()
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_solve_weakly_disconnected_graph(n, monkeypatch):
     """Two 3-cycles, only the first holding vertex 0.  With n = 7 vertex 6
     has no edge, so the normal equations have zero rows and the step falls
-    back to the minimum-norm least-squares solution."""
+    back to the minimum-norm least-squares solution.  The solve starts from
+    identity blocks, because the spanning-tree start takes no step."""
     truth = _rand_auq(n, rng=np.random.default_rng(5))
     truth[0] = aug.IDENTITY
     edges = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]])
@@ -560,7 +587,7 @@ def test_solve_weakly_disconnected_graph(n, monkeypatch):
     calls = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-    result = opt.solve(problem)
+    result = opt.solve(problem, init=np.tile(aug.IDENTITY, (n, 1)))
     assert result.objective <= 1e-16
     assert result.status == opt.STATUS_CONVERGED
     assert bool(calls) == (n == 7)
