@@ -151,24 +151,16 @@ def parse_problem_file(path, world: bool = False) -> Problem:
             return cls(a=stacked[:, :7], b=stacked[:, 7:], sigma=sigma)
         if not edges:
             raise ParseError("no measurements found", path)
-        n = max([i for e in edges for i in e] + list(vertices)) + 1
-        edges = np.array(edges)
-        measured = np.zeros(n, dtype=bool)
-        measured[edges] = True
-        if not measured.all():
-            raise ValueError(f"vertex {np.argmin(measured)} is in no EDGE record")
-        initial = None
+        edges, initial = np.array(edges), None
         if vertices:
-            initial = np.tile(aug.identity(), (n, 1))
-            for i, pose in vertices.items():
-                initial[i] = pose
-        return PoseGraphProblem(
-            n=n,
-            edges=edges,
-            measurements=np.array(measurements),
-            sigma=sigma,
-            initial=initial,
-        )
+            n = edges.max() + 1
+            if max(vertices) >= n:
+                raise ValueError(f"vertex {max(vertices)} is in no EDGE record")
+            if n <= edges.size:  # else some vertex is in no edge, which the problem refuses
+                initial = np.tile(aug.identity(), (n, 1))
+                initial[list(vertices)] = list(vertices.values())
+        return PoseGraphProblem(edges=edges, measurements=np.array(measurements), sigma=sigma,
+                                initial=initial)
     except ParseError:
         raise
     except ValueError as exc:

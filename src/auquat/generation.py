@@ -125,5 +125,5 @@ def gen_posegraph(
     y = aug.compose(aug.auq_inverse(x_true[edges[:, 0]]), x_true[edges[:, 1]])
     if noise is not None:
         y = perturb(y, noise, np.random.default_rng(noise.seed))
-    problem = PoseGraphProblem(n=n, edges=edges, measurements=y, sigma=sigma)
+    problem = PoseGraphProblem(edges=edges, measurements=y, sigma=sigma)
     return problem, x_true

@@ -25,11 +25,11 @@ tangent gradient norm, so a converged start takes no step.  Steps
 (minimum-norm least squares only for a singular system) are halved until
 the objective falls and retracted by renormalizing every quaternion
 block.  A pose graph's objective is invariant under a left translation
-of each weakly connected component, so its gauge is vertex 0 and the
-lowest vertex of every other component with an edge.  One breadth-first
-walk at construction yields both the gauge and the spanning forest.
-`solve` sets the gauge blocks of every start to the identity, and no
-step moves them.
+of each weakly connected component, so its gauge is the lowest vertex of
+every component; a vertex that no edge measures is refused.  One
+breadth-first walk at construction yields both the gauge and the
+spanning forest.  `solve` sets the gauge blocks of every start to the
+identity, and no step moves them.
 """
 
 from __future__ import annotations
@@ -124,32 +124,40 @@ class HandEyeWorldProblem(HandEyeProblem):
 class PoseGraphProblem:
     """Relative pose measurements y_ij on directed edges of a graph.
 
-    Vertex 0 is held at the identity during solves (gauge fixing).  A
-    weakly disconnected graph is not identifiable; it is accepted with a
-    warning, and the lowest vertex of every other component that has an
-    edge is held at the identity too.  `gauge` lists the held vertices.
-    Construction walks the graph once, breadth first from each lowest
-    unreached vertex in turn; the walk's roots give `gauge` and its tree
-    arcs the chaining of `initial_guess()`.
+    The vertices are 0, ..., n - 1, and every one must be in an edge, so
+    `n` is read off `edges`.  Vertex 0 is held at the identity during
+    solves (gauge fixing).  A weakly disconnected graph is not
+    identifiable; it is accepted with a warning, and the lowest vertex of
+    every other component is held at the identity too.  `gauge` lists the
+    held vertices.  Construction walks the graph once, breadth first from
+    each lowest unreached vertex in turn; the walk's roots give `gauge` and
+    its tree arcs the chaining of `initial_guess()`.
     """
 
-    n: int
     edges: np.ndarray
     measurements: np.ndarray
     sigma: float = 1.0
     initial: np.ndarray | None = None
+    n: int = field(init=False)
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=int)
+        self.edges = np.asarray(self.edges)
+        if self.edges.size == 0:
+            raise ValueError("a pose graph needs at least one edge")
         if self.edges.ndim != 2 or self.edges.shape[1] != 2:
             raise ValueError("edges must have shape (m, 2)")
         self.measurements = _unit_blocks(self.measurements, "measurements")
         if len(self.measurements) != len(self.edges):
             raise ValueError("one measurement per edge is required")
-        if self.n < 2:
-            raise ValueError("need at least two vertices")
-        if np.any(self.edges < 0) or np.any(self.edges >= self.n):
-            raise ValueError("edge indices out of range")
+        vertices = np.unique(self.edges)
+        if vertices[0] < 0:
+            raise ValueError(f"edge indices must be nonnegative, got {vertices[0]}")
+        self.n = len(vertices)
+        if vertices[-1] >= self.n:  # the first k with vertices[k] > k is missing
+            raise ValueError(f"vertex {np.argmax(vertices != np.arange(self.n))} "
+                             "is in no EDGE record")
+        if not np.issubdtype(self.edges.dtype, np.integer):
+            raise ValueError(f"edge indices must be integers, got dtype {self.edges.dtype}")
         if np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise ValueError("self loops are not allowed")
         if not 0.0 < self.sigma < np.inf:
@@ -168,8 +176,7 @@ class PoseGraphProblem:
             if seen[root]:
                 continue
             seen[root] = True
-            if root == 0 or adj[root]:
-                gauge.append(root)
+            gauge.append(root)
             queue = deque([root])
             while queue:
                 i = queue.popleft()
@@ -178,8 +185,8 @@ class PoseGraphProblem:
                         seen[j] = True
                         self._arcs.append((i, j, k, forward))
                         queue.append(j)
-        self.gauge = np.array(sorted(gauge))
-        if len(self._arcs) < self.n - 1:
+        self.gauge = np.array(gauge)
+        if len(gauge) > 1:
             # stacklevel 3: past the dataclass __init__ to its caller
             warnings.warn("pose graph is not weakly connected; solution is not unique",
                           stacklevel=3)
@@ -443,7 +450,8 @@ def _normal_equations(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarray
 
 
 def _gauss_newton_step(hess, grad) -> np.ndarray:
-    """The (k, 6) step solving H delta = -g; lstsq only when H is singular."""
+    """The (k, 6) step solving H delta = -g; lstsq only when H is singular, as when
+    identity-rotation hand-eye pairs leave x's translation unobserved (zero J columns)."""
     try:
         delta = np.linalg.solve(hess, -grad.ravel())
     except np.linalg.LinAlgError:

@@ -265,6 +265,40 @@ def test_overflowing_objective_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_huge_vertex_index_exit_code(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 1000000000000 1 0 0 0 0 0 0\n")
+    out = tmp_path / "out.txt"
+    assert main(["slam", str(path), "-o", str(out)]) == 2
+    assert "vertex 2 is in no EDGE record" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# identity rotations, b_t = R(x)^T a_t for x = 90 degrees about z: x's
+# translation is unobserved, so every Gauss-Newton step is the lstsq one
+_PURE_TRANSLATION_PAIRS = """\
+PAIR 1 0 0 0 1 0 0 1 0 0 0 0 -1 0
+PAIR 1 0 0 0 0 1 0 1 0 0 0 1 0 0
+PAIR 1 0 0 0 0 0 1 1 0 0 0 0 0 1
+PAIR 1 0 0 0 1 2 3 1 0 0 0 2 -1 3
+PAIR 1 0 0 0 -2 1 0.5 1 0 0 0 1 2 0.5
+"""
+
+
+def test_pure_translation_pairs_calibrate(tmp_path, monkeypatch):
+    path = tmp_path / "p.txt"
+    path.write_text(_PURE_TRANSLATION_PAIRS)
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    out = tmp_path / "out.txt"
+    assert main(["calibrate", str(path), "-o", str(out)]) == 0
+    assert calls
+    x = files.parse_solution(out)["solution"][0]
+    np.testing.assert_allclose(x[:4], [np.sqrt(0.5), 0, 0, np.sqrt(0.5)], rtol=0, atol=1e-12)
+    assert np.all(x[4:] == 0.0)
+
+
 @pytest.mark.parametrize(
     "command, problem",
     [("slam", "handeye"), ("calibrate", "posegraph"), ("calibrate-world", "posegraph")],

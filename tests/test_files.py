@@ -77,6 +77,15 @@ def test_comma_separated_fields_accepted(tmp_path):
         ("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 3 1 0 0 0 0 0 0\n", "vertex 2 is in no EDGE record"),
         ("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 40 1 0 0 0 0 0 0\n", "vertex 2 is in no EDGE record"),
         ("VERTEX 2 1 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n", "vertex 2 is in no EDGE record"),
+        # nothing is sized by a parsed index, however large
+        ("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 1000000000000 1 0 0 0 0 0 0\n",
+         "vertex 2 is in no EDGE record"),
+        ("VERTEX 0 1 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 1000000000000 1 0 0 0 0 0 0\n",
+         "vertex 2 is in no EDGE record"),
+        ("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 1 100000000000000000000000000000 1 0 0 0 0 0 0\n",
+         "vertex 2 is in no EDGE record"),
+        ("VERTEX 1000000000000 1 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n",
+         "vertex 1000000000000 is in no EDGE record"),
     ],
 )
 def test_parse_errors(tmp_path, content, fragment):
@@ -249,7 +258,7 @@ def test_writers_match_per_value_format(tmp_path):
     p = [1.0 / 3.0, -np.sqrt(8.0) / 3.0, 0.0, -0.0]
     poses = np.array([p + _AWKWARD[:3], p[::-1] + _AWKWARD[3:6], [1.0, 0, 0, 0] + _AWKWARD[4:]])
     pairs = opt.HandEyeProblem(a=poses, b=poses[::-1], sigma=1.0 / 3.0)
-    graph = opt.PoseGraphProblem(n=3, edges=[[0, 1], [2, 0], [1, 2]], measurements=poses,
+    graph = opt.PoseGraphProblem(edges=[[0, 1], [2, 0], [1, 2]], measurements=poses,
                                  sigma=5e-324, initial=poses[[1, 2, 0]])
     result = SimpleNamespace(status="stalled", objective=1.7976931348623157e308, solution=poses)
     table = np.array([_AWKWARD[:3], _AWKWARD[3:6], _AWKWARD[4:]])

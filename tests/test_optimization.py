@@ -1,5 +1,6 @@
+import time
 import warnings
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -372,10 +373,10 @@ def test_problem_validation():
         opt.HandEyeProblem(a=a, b=a, sigma=-1.0)
     with pytest.raises(ValueError):
         opt.PoseGraphProblem(
-            n=3, edges=[[0, 0]], measurements=_rand_auq(1), sigma=1.0
+            edges=[[0, 0]], measurements=_rand_auq(1), sigma=1.0
         )  # self loop
     with pytest.raises(ValueError):
-        opt.PoseGraphProblem(n=3, edges=[[0, 5]], measurements=_rand_auq(1))
+        opt.PoseGraphProblem(edges=[[0, 5]], measurements=_rand_auq(1))
 
 
 def _reference_component_labels(n, edges):
@@ -422,41 +423,51 @@ def _reference_tree_guess(problem, gauge):
 def test_gauge_and_tree_match_a_reference_walk():
     """The construction walk gives the gauge, the spanning-tree guess and the
     disconnected-graph warning of separate component and tree searches, on
-    random graphs with several components and isolated vertices."""
+    random graphs with several components; a graph with a vertex that no
+    edge measures is refused, and the refusal names the lowest such vertex."""
     rng = np.random.default_rng(41)
-    disconnected = 0
-    for _ in range(250):
+    kinds = Counter()
+    for t in range(250):
         n = int(rng.integers(2, 13))
         m = int(rng.integers(0, n + 3))
         edges = rng.integers(0, n, (m, 2))
         edges = edges[edges[:, 0] != edges[:, 1]].reshape(-1, 2)
+        if t % 2:  # relabel the measured vertices 0, 1, ..., so that every one is in an edge
+            edges = np.unique(edges, return_inverse=True)[1].reshape(-1, 2)
+        measurements = _rand_auq(len(edges), rng=rng).reshape(-1, 7)
+        unmeasured = sorted(set(range(edges.max(initial=-1) + 1)) - set(edges.ravel().tolist()))
+        if not len(edges) or unmeasured:
+            kinds["unmeasured" if unmeasured else "empty"] += 1
+            message = f"vertex {unmeasured[0]} is in no" if unmeasured else "at least one edge"
+            with pytest.raises(ValueError, match=message):
+                opt.PoseGraphProblem(edges=edges, measurements=measurements)
+            continue
+        n = edges.max() + 1
         labels = _reference_component_labels(n, edges)
         roots = np.unique(labels[edges.ravel()])
         gauge = np.union1d(roots, [0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            problem = opt.PoseGraphProblem(
-                n=n, edges=edges, measurements=_rand_auq(len(edges), rng=rng).reshape(-1, 7)
-            )
+            problem = opt.PoseGraphProblem(edges=edges, measurements=measurements)
         connected = bool(np.all(labels == labels[0]))
-        disconnected += not connected
+        kinds["connected" if connected else "disconnected"] += 1
+        assert problem.n == n
         assert [w.category for w in caught] == ([] if connected else [UserWarning])
         np.testing.assert_array_equal(problem.gauge, gauge)
         assert problem.initial_guess().tobytes() == _reference_tree_guess(problem, gauge).tobytes()
-    assert 50 <= disconnected <= 200  # both kinds of graph are exercised
+    # refused, connected and disconnected graphs are all exercised
+    assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
 
 
 def test_disconnected_graph_warns():
-    edges = np.array([[0, 1]])
-    y = _rand_auq(1)[None][0]
+    edges = np.array([[0, 1], [2, 3]])
     with pytest.warns(UserWarning):
-        opt.PoseGraphProblem(n=3, edges=edges, measurements=y.reshape(1, 7))
+        opt.PoseGraphProblem(edges=edges, measurements=_rand_auq(2))
 
 
 def test_disconnected_graph_warning_names_the_caller():
-    y = _rand_auq(1).reshape(1, 7)
     with pytest.warns(UserWarning) as record:
-        opt.PoseGraphProblem(n=3, edges=np.array([[0, 1]]), measurements=y)
+        opt.PoseGraphProblem(edges=np.array([[0, 1], [2, 3]]), measurements=_rand_auq(2))
     assert record[0].filename == __file__
 
 
@@ -465,8 +476,39 @@ def test_connected_graph_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         opt.PoseGraphProblem(
-            n=problem.n, edges=problem.edges, measurements=problem.measurements
+            edges=problem.edges, measurements=problem.measurements
         )
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([], "at least one edge"),
+        (np.zeros((0, 2), dtype=int), "at least one edge"),
+        ([[0, 1], [1, -1]], "nonnegative, got -1"),
+        ([[0, 1.7]], "must be integers"),
+        ([[0.0, 1.0]], "must be integers"),
+        ([[0, 1], [1, 3]], "vertex 2 is in no EDGE record"),
+        ([[1, 2], [3, 4]], "vertex 0 is in no EDGE record"),
+    ],
+)
+def test_posegraph_refuses_an_unmeasured_or_invalid_vertex(edges, message):
+    with pytest.raises(ValueError, match=message):
+        opt.PoseGraphProblem(edges=edges, measurements=_rand_auq(len(edges)).reshape(-1, 7))
+
+
+def test_posegraph_vertex_count_is_read_off_the_edges():
+    problem = opt.PoseGraphProblem(edges=[[0, 1], [2, 0], [1, 2]], measurements=_rand_auq(3))
+    assert (problem.n, problem.n_blocks) == (3, 3)
+    with pytest.raises(TypeError):
+        opt.PoseGraphProblem(n=3, edges=problem.edges, measurements=problem.measurements)
+
+
+def test_posegraph_refuses_a_huge_index_without_sizing_by_it():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="vertex 2 is in no EDGE record"):
+        opt.PoseGraphProblem(edges=[[0, 1], [1, 3_000_000]], measurements=_rand_auq(2))
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +580,7 @@ def test_posegraph_solve_starts_from_the_problem_initial_guess():
     graph, _ = gen_posegraph(n=6, loop_edges=4, seed=28)
     x0 = _rand_auq(6, rng=np.random.default_rng(29))
     problem = opt.PoseGraphProblem(
-        n=graph.n, edges=graph.edges, measurements=graph.measurements, initial=x0
+        edges=graph.edges, measurements=graph.measurements, initial=x0
     )
     result = opt.solve(problem, opt.SolverConfig(max_iters=0, restarts=1))
     expected = x0.copy()
@@ -572,25 +614,45 @@ def test_solve_that_starts_converged_takes_no_step(kind, monkeypatch):
     assert result.solution.tobytes() == start.tobytes()
 
 
-@pytest.mark.parametrize("n", [6, 7])
-def test_solve_weakly_disconnected_graph(n, monkeypatch):
-    """Two 3-cycles, only the first holding vertex 0.  With n = 7 vertex 6
-    has no edge, so the normal equations have zero rows and the step falls
-    back to the minimum-norm least-squares solution.  The solve starts from
-    identity blocks, because the spanning-tree start takes no step."""
-    truth = _rand_auq(n, rng=np.random.default_rng(5))
+def test_solve_weakly_disconnected_graph(monkeypatch):
+    """Two 3-cycles, only the first holding vertex 0.  The lowest vertex of
+    the other is held too, so the normal equations are nonsingular and no
+    step falls back to least squares.  The solve starts from identity
+    blocks, because the spanning-tree start takes no step."""
+    truth = _rand_auq(6, rng=np.random.default_rng(5))
     truth[0] = aug.IDENTITY
     edges = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]])
     y = aug.compose(aug.auq_inverse(truth[edges[:, 0]]), truth[edges[:, 1]])
     with pytest.warns(UserWarning):
-        problem = opt.PoseGraphProblem(n=n, edges=edges, measurements=y)
+        problem = opt.PoseGraphProblem(edges=edges, measurements=y)
     calls = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-    result = opt.solve(problem, init=np.tile(aug.IDENTITY, (n, 1)))
+    result = opt.solve(problem, init=np.tile(aug.IDENTITY, (6, 1)))
     assert result.objective <= 1e-16
     assert result.status == opt.STATUS_CONVERGED
-    assert bool(calls) == (n == 7)
+    assert not calls
+
+
+def test_pure_translation_pairs_take_the_lstsq_step(monkeypatch):
+    """Pairs whose rotations are all the identity leave x's translation
+    unobserved: a o x - x o b = [0, R(x)^T a_t - b_t], so the translation
+    columns of J are exactly zero and H is singular.  Every step is then the
+    minimum-norm least-squares one, which keeps the translation at 0."""
+    x = np.array([np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5), 0.0, 0.0, 0.0])  # 90 degrees about z
+    a_t = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3], [-2, 1, 0.5]])
+    q = np.tile(aug.IDENTITY[:4], (5, 1))
+    problem = opt.HandEyeProblem(a=np.hstack([q, a_t]), b=np.hstack([q, qt.rot_apply_T(x[:4], a_t)]))
+    hess, _, _ = opt._normal_equations(problem, problem.initial_guess(), opt._free_blocks(problem))
+    assert not np.any(hess[3:]) and not np.any(hess[:, 3:])
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    result = opt.solve(problem)
+    assert result.status == opt.STATUS_CONVERGED
+    assert len(calls) >= result.iterations >= 1
+    assert opt.pose_error(result.solution[0], x)[0] <= 1e-12
+    assert np.all(result.solution[0, 4:] == 0.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -602,7 +664,7 @@ def test_every_component_is_gauge_fixed(seed):
     edges = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]])
     y = aug.compose(aug.auq_inverse(truth[edges[:, 0]]), truth[edges[:, 1]])
     with pytest.warns(UserWarning):
-        problem = opt.PoseGraphProblem(n=6, edges=edges, measurements=y)
+        problem = opt.PoseGraphProblem(edges=edges, measurements=y)
     np.testing.assert_array_equal(problem.gauge, [0, 3])
     assert opt.objective(problem, problem.initial_guess()) <= 1e-28
     result = opt.solve(problem, opt.SolverConfig(restarts=1), init=np.tile(aug.IDENTITY, (6, 1)))
@@ -619,7 +681,7 @@ def test_every_start_holds_the_gauge():
     y = aug.compose(aug.auq_inverse(truth[edges[:, 0]]), truth[edges[:, 1]])
     start = _rand_auq(6, rng=np.random.default_rng(31))
     with pytest.warns(UserWarning):
-        problem = opt.PoseGraphProblem(n=6, edges=edges, measurements=y, initial=start)
+        problem = opt.PoseGraphProblem(edges=edges, measurements=y, initial=start)
     np.testing.assert_array_equal(problem.gauge, [0, 3])
     assert not np.any(np.all(start[problem.gauge] == aug.IDENTITY, axis=-1))
     held = np.tile(aug.IDENTITY, (2, 1))
