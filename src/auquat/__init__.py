@@ -50,7 +50,6 @@ from .errors import (
     ConstraintViolated,
     InfeasibleInit,
     NonFiniteObjective,
-    NotInvertible,
     OutOfRange,
     ParseError,
     StepDiverged,

@@ -9,7 +9,8 @@ makes the augmented unit quaternions (AUQ: unit quaternion part) a group
 representing rigid-body poses: x acts on a point v as R(p)(v + t), i.e.
 translate first, then rotate.
 
-All operations broadcast over leading batch dimensions.
+All operations broadcast over leading batch dimensions and follow
+quaternion's array contract; aq_inverse raises ZeroMagnitude, as qinv does.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import quaternion as quat
-from .errors import AVQClosureViolation, NotInvertible
-from .tolerances import AVQ_SCALAR_TOL, ZERO_MAGNITUDE
+from .errors import AVQClosureViolation
+from .tolerances import AVQ_SCALAR_TOL
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 IDENTITY.setflags(write=False)
@@ -29,21 +30,9 @@ def identity() -> np.ndarray:
     return IDENTITY.copy()
 
 
-def _as_aq(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 7:
-        raise ValueError(f"expected trailing dimension 7, got shape {x.shape}")
-    return x
-
-
 def aq(p, t) -> np.ndarray:
     """Assemble an AQ from quaternion and translation parts."""
-    p = quat._as_quat(p)
-    t = quat._as_vec3(t)
-    batch = np.broadcast_shapes(p.shape[:-1], t.shape[:-1])
-    p = np.broadcast_to(p, batch + (4,))
-    t = np.broadcast_to(t, batch + (3,))
-    return np.concatenate([p, t], axis=-1)
+    return quat._join(quat._trailing(p, 4), quat._trailing(t, 3))
 
 
 def random_auq(seed=None, n: int | None = None) -> np.ndarray:
@@ -55,18 +44,18 @@ def random_auq(seed=None, n: int | None = None) -> np.ndarray:
 
 
 def quat_part(x) -> np.ndarray:
-    return _as_aq(x)[..., :4]
+    return quat._trailing(x, 7)[..., :4]
 
 
 def trans_part(x) -> np.ndarray:
-    return _as_aq(x)[..., 4:]
+    return quat._trailing(x, 7)[..., 4:]
 
 
 def as_auq(x) -> np.ndarray:
     """Validate the unit invariant and return x with the quaternion part
     exactly normalized.  Rejects non-finite input and quaternion norms off
     1 by more than UNIT_NORMALIZE_TOL."""
-    x = _as_aq(x)
+    x = quat._trailing(x, 7)
     if not np.all(np.isfinite(x[..., 4:])):
         raise ValueError("translation components must be finite")
     p = quat.ensure_unit(x[..., :4])
@@ -80,35 +69,32 @@ def auq(p, t) -> np.ndarray:
 
 def aq_add(x, y) -> np.ndarray:
     """Componentwise vector-space addition."""
-    return _as_aq(x) + _as_aq(y)
+    return quat._trailing(x, 7) + quat._trailing(y, 7)
 
 
 def aq_scale(a, x) -> np.ndarray:
     """Componentwise scalar multiple."""
-    return np.asarray(a, dtype=float)[..., None] * _as_aq(x)
+    return np.asarray(a, dtype=float)[..., None] * quat._trailing(x, 7)
 
 
 def compose(x, y) -> np.ndarray:
     """Composition x o y = [p q, u + R(q)^T t]."""
-    x = _as_aq(x)
-    y = _as_aq(y)
+    x = quat._trailing(x, 7)
+    y = quat._trailing(y, 7)
     p, t = x[..., :4], x[..., 4:]
     q, u = y[..., :4], y[..., 4:]
     return np.concatenate([quat.qmul(p, q), u + quat.rot_apply_T(q, t)], axis=-1)
 
 
 def aq_inverse(x) -> np.ndarray:
-    """Inverse [p^-1, -R(p) t / |p|^4] of a general AQ.
+    """Inverse [p^-1, -R(p^-1)^T t] = [p^-1, -R(p) t / |p|^4] of a general AQ.
 
-    Raises NotInvertible when the quaternion part magnitude is at or
-    below the invertibility threshold.
+    The quaternion part is quaternion.qinv(p), which raises ZeroMagnitude
+    when |p| is at or below the invertibility threshold.
     """
-    x = _as_aq(x)
-    p, t = x[..., :4], x[..., 4:]
-    n2 = np.sum(p * p, axis=-1, keepdims=True)
-    if np.any(np.sqrt(n2) <= ZERO_MAGNITUDE):
-        raise NotInvertible("quaternion part magnitude too small to invert")
-    return np.concatenate([quat.qconj(p) / n2, -quat.rot_apply(p, t) / (n2 * n2)], axis=-1)
+    x = quat._trailing(x, 7)
+    p_inv = quat.qinv(x[..., :4])
+    return np.concatenate([p_inv, -quat.rot_apply_T(p_inv, x[..., 4:])], axis=-1)
 
 
 def auq_inverse(x) -> np.ndarray:
@@ -116,7 +102,7 @@ def auq_inverse(x) -> np.ndarray:
 
     Assumes the unit invariant; use aq_inverse for general AQs.
     """
-    x = _as_aq(x)
+    x = quat._trailing(x, 7)
     p, t = x[..., :4], x[..., 4:]
     return np.concatenate([quat.qconj(p), -quat.rot_apply(p, t)], axis=-1)
 
@@ -125,7 +111,7 @@ def sigma_magnitude(x, sigma: float = 1.0) -> np.ndarray | float:
     """Weighted magnitude sqrt(|p|^2 + sigma |t|^2), sigma positive and finite."""
     if not 0.0 < sigma < np.inf:
         raise ValueError("sigma must be positive and finite")
-    x = _as_aq(x)
+    x = quat._trailing(x, 7)
     p2 = np.sum(x[..., :4] ** 2, axis=-1)
     t2 = np.sum(x[..., 4:] ** 2, axis=-1)
     return np.sqrt(p2 + sigma * t2)
@@ -137,7 +123,7 @@ def auq_log(x) -> np.ndarray:
     The rotation slot is qlog of the quaternion part; the translation
     slot is halved.  The result is an augmented vector quaternion.
     """
-    x = _as_aq(x)
+    x = quat._trailing(x, 7)
     return np.concatenate([quat.qlog(x[..., :4]), 0.5 * x[..., 4:]], axis=-1)
 
 
@@ -148,7 +134,7 @@ def avq(r, t) -> np.ndarray:
 
 def is_avq(y) -> bool:
     """True when |scalar slot| <= AVQ_SCALAR_TOL."""
-    return bool(np.all(np.abs(_as_aq(y)[..., 0]) <= AVQ_SCALAR_TOL))
+    return bool(np.all(np.abs(quat._trailing(y, 7)[..., 0]) <= AVQ_SCALAR_TOL))
 
 
 def avq_conjugation(x, y) -> np.ndarray:
@@ -158,7 +144,7 @@ def avq_conjugation(x, y) -> np.ndarray:
     map; a scalar slot above AVQ_SCALAR_TOL raises AVQClosureViolation
     (an arithmetic bug, not a domain error).
     """
-    out = compose(compose(_as_aq(x), _as_aq(y)), aq_inverse(x))
+    out = compose(compose(x, y), aq_inverse(x))
     if np.any(np.abs(out[..., 0]) > AVQ_SCALAR_TOL):
         worst = float(np.max(np.abs(out[..., 0])))
         raise AVQClosureViolation(f"conjugation scalar slot {worst:.3e} exceeds tolerance")
@@ -171,7 +157,7 @@ def act_on_point(x, v) -> np.ndarray:
 
     Assumes a unit quaternion part; matches the homogeneous-matrix action.
     """
-    x = _as_aq(x)
+    x = quat._trailing(x, 7)
     p, t = x[..., :4], x[..., 4:]
     return quat.rot_apply(p, np.asarray(v, dtype=float) + t)
 
@@ -182,7 +168,7 @@ def to_homogeneous(x) -> np.ndarray:
     Multiplicative: to_homogeneous(compose(x, y)) equals the matrix
     product of the individual images.
     """
-    x = _as_aq(x)
+    x = quat._trailing(x, 7)
     p, t = x[..., :4], x[..., 4:]
     out = np.zeros(x.shape[:-1] + (4, 4))
     out[..., :3, :3] = quat.rot_matrix(p)

@@ -48,13 +48,10 @@ import numpy as np
 from . import augmented as aug
 from . import quaternion as quat
 from .errors import StepDiverged
-from .tolerances import AXIS_EPS, LYAPUNOV_RISE_RTOL
+from .tolerances import LOG_AXIS_EPS, LOG_BRANCH_MARGIN, LYAPUNOV_RISE_RTOL
 
 DYNAMICS_EXPONENTIAL = "exponential"
 DYNAMICS_TWIST = "twist"
-
-# theta within this of the log branch boundary at pi gets flagged in traces.
-LOG_BRANCH_MARGIN = 1e-2
 
 
 def _positive_finite(values) -> bool:
@@ -102,10 +99,8 @@ class Twist:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.w.shape[-1] != 3 or self.v.shape[-1] != 3:
-            raise ValueError("twist components must have trailing dimension 3")
+        object.__setattr__(self, "w", quat._trailing(self.w, 3))
+        object.__setattr__(self, "v", quat._trailing(self.v, 3))
 
     def as_aq(self) -> np.ndarray:
         """Embed as the augmented vector quaternion [0, w, v]."""
@@ -161,12 +156,12 @@ def twist_from_error_rates(xe, te_dot, we) -> Twist:
     """
     te = aug.trans_part(xe)
     ve = 2.0 * np.asarray(te_dot, dtype=float) - quat.rot_apply_T(quat.vector_quat(we), te)
-    return Twist(np.asarray(we, dtype=float), ve)
+    return Twist(we, ve)
 
 
 def proportional_control(xe, gains: Gains) -> Twist:
     """Proportional law xi_e = -2 [0, Kr theta_e, Kt te]."""
-    xe = aug._as_aq(xe)
+    xe = quat._trailing(xe, 7)
     theta = quat.qlog_vec(xe[..., :4])
     return Twist(-2.0 * gains.kr * theta, -2.0 * gains.kt * xe[..., 4:])
 
@@ -178,7 +173,7 @@ def state_derivative(xe, xi: Twist) -> np.ndarray:
 
 def lyapunov(xe, weights: LyapunovWeights = LyapunovWeights()) -> np.ndarray | float:
     """V = alpha |theta_e|^2 + beta |te|^2."""
-    xe = aug._as_aq(xe)
+    xe = quat._trailing(xe, 7)
     return _lyapunov_of(quat.qlog_vec(xe[..., :4]), xe[..., 4:], weights)
 
 
@@ -193,14 +188,17 @@ _WW_WEIGHT = {DYNAMICS_EXPONENTIAL: 1.0, DYNAMICS_TWIST: 0.5}
 
 
 # The kernel's operations beyond + - * / on float and on (B,) array columns;
-# axis_scale is theta / |pv|, 0 on the log's degenerate axis.  math.atan2
-# differs from np.arctan2 in the last ulp on some inputs, hence numpy's.
+# axis_scale is theta / |pv|, 0 where qlog_vec reads the zero rotation:
+# theta >= pi/2 is its p0 <= 0.  math.atan2 differs from np.arctan2 in
+# the last ulp on some inputs, hence numpy's.
 _FLOAT_OPS = SimpleNamespace(
     sqrt=math.sqrt, atan2=lambda y, x: float(np.arctan2(y, x)),
-    axis_scale=lambda vn, th: 0.0 if vn <= AXIS_EPS else th / vn)
+    axis_scale=lambda vn, th: (0.0 if vn <= LOG_AXIS_EPS and (vn == 0.0 or th >= np.pi / 2)
+                               else th / vn))
 _ARRAY_OPS = SimpleNamespace(
     sqrt=np.sqrt, atan2=np.arctan2,
-    axis_scale=lambda vn, th: np.where(vn <= AXIS_EPS, 0.0, th / np.maximum(vn, AXIS_EPS)))
+    axis_scale=lambda vn, th: th / np.where(vn <= np.where(th >= np.pi / 2, LOG_AXIS_EPS, 0.0),
+                                            np.inf, vn))
 
 
 def _closed_loop_derivative(xe, kr, kt, ww_weight: float, ops) -> tuple:
@@ -251,9 +249,7 @@ def _start(x0, xd, dt: float, steps: int, dynamics: str):
         raise ValueError("steps must be non-negative")
     if dynamics not in _WW_WEIGHT:
         raise ValueError(f"unknown dynamics {dynamics!r}")
-    x0 = aug.as_auq(np.asarray(x0, dtype=float))
-    xd = aug.as_auq(np.asarray(xd, dtype=float))
-    return error_auq(x0, xd), _WW_WEIGHT[dynamics]
+    return error_auq(aug.as_auq(x0), aug.as_auq(xd)), _WW_WEIGHT[dynamics]
 
 
 def _run(xe, kr, kt, dt, steps, ww_weight, ops, on_step):
@@ -343,7 +339,7 @@ def integrate_batch(
     Used by the decay-bound verification.
     """
     x0, xd = np.asarray(x0, dtype=float), np.asarray(xd, dtype=float)
-    if x0.ndim != 2 or len(x0) < 1 or x0.shape[1] != 7 or xd.shape != x0.shape:
+    if x0.ndim != 2 or len(x0) < 1 or xd.shape != x0.shape:  # _start checks the 7 columns
         raise ValueError(f"x0 and xd must have shape (B, 7), got {x0.shape} and {xd.shape}")
     xe, ww_weight = _start(x0, xd, dt, steps, dynamics)
     kr, kt = (np.broadcast_to(np.asarray(k, dtype=float), (len(xe), 3)) for k in (kr, kt))

@@ -4,7 +4,8 @@ A dual quaternion is an 8-vector [standard part; dual part].  A unit
 dual quaternion has a unit standard part and satisfies the
 orthogonality condition q qd* + qd q* = 0; together these make it an
 alternative rigid-pose representation against which the 7-component
-pose algebra is cross-checked.
+pose algebra is cross-checked.  Arguments are read through quaternion's
+array contract, as in the pose algebra.
 """
 
 from __future__ import annotations
@@ -19,27 +20,15 @@ IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 IDENTITY.setflags(write=False)
 
 
-def _as_dq(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] != 8:
-        raise ValueError(f"expected trailing dimension 8, got shape {q.shape}")
-    return q
-
-
 def dq(std, dual) -> np.ndarray:
     """Assemble a dual quaternion from standard and dual parts."""
-    std = quat._as_quat(std)
-    dual = quat._as_quat(dual)
-    batch = np.broadcast_shapes(std.shape[:-1], dual.shape[:-1])
-    std = np.broadcast_to(std, batch + (4,))
-    dual = np.broadcast_to(dual, batch + (4,))
-    return np.concatenate([std, dual], axis=-1)
+    return quat._join(quat._trailing(std, 4), quat._trailing(dual, 4))
 
 
 def dq_mul(p, q) -> np.ndarray:
     """Product [ps qs; ps qd + pd qs]."""
-    p = _as_dq(p)
-    q = _as_dq(q)
+    p = quat._trailing(p, 8)
+    q = quat._trailing(q, 8)
     ps, pd = p[..., :4], p[..., 4:]
     qs, qd = q[..., :4], q[..., 4:]
     return np.concatenate(
@@ -49,13 +38,13 @@ def dq_mul(p, q) -> np.ndarray:
 
 def dq_conj(q) -> np.ndarray:
     """Conjugate [qs*; qd*]."""
-    q = _as_dq(q)
+    q = quat._trailing(q, 8)
     return np.concatenate([quat.qconj(q[..., :4]), quat.qconj(q[..., 4:])], axis=-1)
 
 
 def orthogonality_defect(q) -> np.ndarray:
     """Quaternion qs qd* + qd qs*; zero exactly on unit dual quaternions."""
-    q = _as_dq(q)
+    q = quat._trailing(q, 8)
     qs, qd = q[..., :4], q[..., 4:]
     return quat.qmul(qs, quat.qconj(qd)) + quat.qmul(qd, quat.qconj(qs))
 
@@ -66,7 +55,7 @@ def check_unit(q) -> np.ndarray:
     Raises ConstraintViolated when |qs| deviates from 1 or the
     orthogonality defect exceeds ALGEBRA_ATOL.
     """
-    q = _as_dq(q)
+    q = quat._trailing(q, 8)
     dev = np.abs(quat.qnorm(q[..., :4]) - 1.0)
     if not np.all(dev <= ALGEBRA_ATOL):
         raise ConstraintViolated(f"standard part norm deviates by {float(np.max(dev)):.3e}")
@@ -81,9 +70,7 @@ def from_auq(x) -> np.ndarray:
 
     Multiplicative: from_auq(compose(x, y)) = dq_mul(from_auq(x), from_auq(y)).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 7:
-        raise ValueError(f"expected trailing dimension 7, got shape {x.shape}")
+    x = quat._trailing(x, 7)
     p, t = x[..., :4], x[..., 4:]
     return np.concatenate([p, 0.5 * quat.qmul(p, quat.vector_quat(t))], axis=-1)
 

@@ -2,11 +2,7 @@
 
 
 class ZeroMagnitude(ValueError):
-    """Quaternion magnitude too small to invert."""
-
-
-class NotInvertible(ValueError):
-    """Augmented quaternion with a non-invertible quaternion part."""
+    """Quaternion (qinv) or pose quaternion part (aq_inverse) too small to invert."""
 
 
 class AVQClosureViolation(RuntimeError):

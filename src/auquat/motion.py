@@ -65,7 +65,7 @@ def quat_from_rotvec(r) -> np.ndarray:
     r = theta * l maps to [cos(theta/2), l sin(theta/2)]; requires
     |r| < 2 pi, raising OutOfRange beyond or for NaN.
     """
-    r = quat._as_vec3(r)
+    r = quat._trailing(r, 3)
     if not np.all(np.linalg.norm(r, axis=-1) < TWO_PI):
         raise OutOfRange("rotation vector norm must lie in [0, 2 pi)")
     return quat.qexp(0.5 * r)

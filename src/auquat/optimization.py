@@ -205,9 +205,9 @@ class PoseGraphProblem:
         return self.residuals(x), self.edges, jac
 
     def initial_guess(self) -> np.ndarray:
-        """`initial` renormalized, else chaining along the walk's tree arcs."""
+        """A copy of `initial`, else chaining along the walk's tree arcs."""
         if self.initial is not None:
-            return _retract(self.initial)
+            return self.initial.copy()
         x = np.tile(aug.identity(), (self.n, 1))
         for i, j, k, forward in self._arcs:
             y = self.measurements[k]
@@ -282,8 +282,8 @@ def pose_error(x, x_true) -> tuple[np.ndarray | float, np.ndarray | float]:
     nonnegative scalar part, so it is invariant under the quaternion
     double cover and exactly 0 for equal poses.
     """
-    x = np.asarray(x, dtype=float)
-    x_true = np.asarray(x_true, dtype=float)
+    x = quat._trailing(x, 7)
+    x_true = quat._trailing(x_true, 7)
     w = quat.qmul(quat.qconj(x[..., :4]), x_true[..., :4])
     w = np.where(w[..., :1] < 0.0, -w, w)
     rot = 2.0 * np.linalg.norm(quat.qlog_vec(w), axis=-1)

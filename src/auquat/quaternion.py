@@ -11,6 +11,11 @@ sandwich q [0, t] q* for unit q (active rotation).  Each formula is
 written once: the product in qmul, the rotation in rot_apply_T.  The
 matrices L(p), Rm(q) and T(v) are read off qmul and np.cross through
 constant tables, and R(q)^T off rot_apply_T applied to the unit vectors.
+
+One array contract serves the algebra: every entry point here and in
+augmented, dualquat and control reads its arguments through _trailing,
+which refuses a 0-d or wrongly sized one with a ValueError, and _join
+assembles parts.
 """
 
 from __future__ import annotations
@@ -18,30 +23,30 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroMagnitude
-from .tolerances import AXIS_EPS, UNIT_NORMALIZE_TOL, ZERO_MAGNITUDE
+from .tolerances import AXIS_EPS, LOG_AXIS_EPS, UNIT_NORMALIZE_TOL, ZERO_MAGNITUDE
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 IDENTITY.setflags(write=False)
 
 
-def _as_quat(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] != 4:
-        raise ValueError(f"expected trailing dimension 4, got shape {q.shape}")
-    return q
+def _trailing(x, n: int) -> np.ndarray:
+    """x as a float array whose last axis has length n."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (n,):
+        raise ValueError(f"expected trailing dimension {n}, got shape {x.shape}")
+    return x
 
 
-def _as_vec3(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != 3:
-        raise ValueError(f"expected trailing dimension 3, got shape {v.shape}")
-    return v
+def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Concatenate a and b on the last axis, broadcasting the other axes."""
+    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    return np.concatenate([np.broadcast_to(c, batch + c.shape[-1:]) for c in (a, b)], axis=-1)
 
 
 def qmul(p, q) -> np.ndarray:
     """Hamilton product of two quaternions."""
-    p = _as_quat(p)
-    q = _as_quat(q)
+    p = _trailing(p, 4)
+    q = _trailing(q, 4)
     p0, pv = p[..., :1], p[..., 1:]
     q0, qv = q[..., :1], q[..., 1:]
     scalar = p0 * q0 - np.sum(pv * qv, axis=-1, keepdims=True)
@@ -71,7 +76,7 @@ _E3 = np.eye(3)
 
 def qconj(q) -> np.ndarray:
     """Conjugate [q0, -q1, -q2, -q3]."""
-    q = _as_quat(q)
+    q = _trailing(q, 4)
     out = q.copy()
     out[..., 1:] *= -1.0
     return out
@@ -79,7 +84,7 @@ def qconj(q) -> np.ndarray:
 
 def qnorm(q) -> np.ndarray | float:
     """Euclidean magnitude sqrt(q0^2 + q1^2 + q2^2 + q3^2)."""
-    return np.linalg.norm(_as_quat(q), axis=-1)
+    return np.linalg.norm(_trailing(q, 4), axis=-1)
 
 
 def qinv(q) -> np.ndarray:
@@ -88,7 +93,7 @@ def qinv(q) -> np.ndarray:
     Raises ZeroMagnitude when any input magnitude is at or below the
     invertibility threshold.
     """
-    q = _as_quat(q)
+    q = _trailing(q, 4)
     n2 = np.sum(q * q, axis=-1, keepdims=True)
     if np.any(np.sqrt(n2) <= ZERO_MAGNITUDE):
         raise ZeroMagnitude("quaternion magnitude too small to invert")
@@ -98,7 +103,7 @@ def qinv(q) -> np.ndarray:
 def ensure_unit(q) -> np.ndarray:
     """Validate that q is finite and unit within UNIT_NORMALIZE_TOL; return
     it exactly normalized."""
-    q = _as_quat(q)
+    q = _trailing(q, 4)
     if not np.all(np.isfinite(q)):
         raise ValueError("quaternion components must be finite")
     n = np.linalg.norm(q, axis=-1, keepdims=True)
@@ -112,19 +117,17 @@ def ensure_unit(q) -> np.ndarray:
 
 def vector_quat(v) -> np.ndarray:
     """Embed a 3-vector as the vector quaternion [0, v]."""
-    v = _as_vec3(v)
-    zero = np.zeros(v.shape[:-1] + (1,))
-    return np.concatenate([zero, v], axis=-1)
+    return _join(np.zeros(1), _trailing(v, 3))
 
 
 def is_vector_quat(q) -> bool:
     """True when |scalar part| <= AXIS_EPS, i.e. q = -q*."""
-    return bool(np.all(np.abs(_as_quat(q)[..., 0]) <= AXIS_EPS))
+    return bool(np.all(np.abs(_trailing(q, 4)[..., 0]) <= AXIS_EPS))
 
 
 def cross_matrix(v) -> np.ndarray:
     """Matrix T(v) with p x v = T(v) p  (and p x v = T(p)^T v)."""
-    return _from_table(_as_vec3(v), _CROSS_RIGHT)
+    return _from_table(_trailing(v, 3), _CROSS_RIGHT)
 
 
 def rot_matrix_T(q) -> np.ndarray:
@@ -133,7 +136,7 @@ def rot_matrix_T(q) -> np.ndarray:
     Defined for arbitrary quaternions (no normalization inside); for unit q
     the transpose R(q) is a proper rotation.
     """
-    return np.swapaxes(rot_apply_T(_as_quat(q)[..., None, :], _E3), -1, -2)
+    return np.swapaxes(rot_apply_T(_trailing(q, 4)[..., None, :], _E3), -1, -2)
 
 
 def rot_matrix(q) -> np.ndarray:
@@ -144,8 +147,8 @@ def rot_matrix(q) -> np.ndarray:
 def rot_apply_T(q, t) -> np.ndarray:
     """R(q)^T t = 2 (qv.t) qv + (q0^2 - qv.qv) t - 2 q0 qv x t, without
     forming the matrix."""
-    q = _as_quat(q)
-    t = _as_vec3(t)
+    q = _trailing(q, 4)
+    t = _trailing(t, 3)
     q0, qv = q[..., :1], q[..., 1:]
     dot = np.sum(qv * t, axis=-1, keepdims=True)
     scale = q0 * q0 - np.sum(qv * qv, axis=-1, keepdims=True)
@@ -160,25 +163,26 @@ def rot_apply(q, t) -> np.ndarray:
 def qlog(q) -> np.ndarray:
     """Logarithm of a unit quaternion [cos th, l sin th] -> [0, th l].
 
-    th = atan2(|qv|, q0) is taken on the short arc [0, pi]; a degenerate
-    axis (|qv| <= AXIS_EPS) maps to the zero vector quaternion.
+    th = atan2(|qv|, q0) is taken on the short arc [0, pi]; see qlog_vec
+    for the quaternions that map to the zero vector quaternion.
     """
-    v = qlog_vec(q)
-    return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
+    return vector_quat(qlog_vec(q))
 
 
 def qlog_vec(q) -> np.ndarray:
     """Vector part of qlog(q): the rotation vector th l with th in [0, pi].
 
     atan2 keeps full relative precision near the identity, where the
-    inverse cosine of q0 rounds every th below about 1.5e-8 to zero.  A
-    NaN component gives NaN, not the degenerate axis or the zero rotation.
+    inverse cosine of q0 rounds every th below about 1.5e-8 to zero.  Only
+    qv = 0, and |qv| <= LOG_AXIS_EPS at q0 <= 0, read as the zero rotation.
+    A NaN component gives NaN, not the zero rotation.
     """
-    q = _as_quat(q)
+    q = _trailing(q, 4)
     qv = q[..., 1:]
     vn = np.sqrt(np.einsum("...i,...i->...", qv, qv))[..., None]
     theta = np.arctan2(vn, q[..., :1])
-    return np.where(vn <= AXIS_EPS, 0.0 * theta, qv * (theta / np.maximum(vn, AXIS_EPS)))
+    zero = vn <= np.where(q[..., :1] > 0.0, 0.0, LOG_AXIS_EPS)
+    return np.where(zero, 0.0 * theta, qv * (theta / np.where(zero, 1.0, vn)))
 
 
 def qexp(v) -> np.ndarray:
@@ -188,11 +192,11 @@ def qexp(v) -> np.ndarray:
     or a bare 3-vector th l.  The zero vector maps to the identity.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape[-1] == 4:
-        if not np.all(np.abs(v[..., 0]) <= AXIS_EPS):
+    if v.shape[-1:] == (4,):
+        if not is_vector_quat(v):
             raise ValueError("scalar slot of a vector quaternion must be 0")
         v = v[..., 1:]
-    v = _as_vec3(v)
+    v = _trailing(v, 3)
     theta = np.linalg.norm(v, axis=-1, keepdims=True)
     # sin(theta)/theta via sinc keeps the removable singularity exact at 0.
     vector = v * np.sinc(theta / np.pi)
@@ -213,9 +217,9 @@ def random_unit(seed=None, n: int | None = None) -> np.ndarray:
 
 def left_matrix(p) -> np.ndarray:
     """4x4 matrix L(p) with p q = L(p) q."""
-    return _from_table(_as_quat(p), _QMUL_LEFT)
+    return _from_table(_trailing(p, 4), _QMUL_LEFT)
 
 
 def right_matrix(q) -> np.ndarray:
     """4x4 matrix Rm(q) with p q = Rm(q) p."""
-    return _from_table(_as_quat(q), _QMUL_RIGHT)
+    return _from_table(_trailing(q, 4), _QMUL_RIGHT)

@@ -4,8 +4,9 @@ Every tolerance that a check of the package compares against is set
 here, once.  No function takes a tolerance parameter, so no call can
 override one; change a value here rather than writing a literal into the
 code.  Every algebraic identity is checked against ALGEBRA_ATOL.  Every
-rotation angle is read off the quaternion logarithm, so AXIS_EPS is the
-one zero test on a rotation.  The solver's stopping rule is a setting
+rotation angle is read off the quaternion logarithm (qlog_vec, or the
+same rule in the simulator's RK4 kernel), so LOG_AXIS_EPS is the one
+zero test on a rotation.  The solver's stopping rule is a setting
 (SolverConfig.grad_tol), not a check.
 """
 
@@ -15,9 +16,16 @@ ALGEBRA_ATOL = 1e-12
 # Below this magnitude a quaternion is treated as non-invertible.
 ZERO_MAGNITUDE = 1e-15
 
-# Vector-part norm below which the logarithm axis is degenerate and the
-# logarithm, the rotation vector and pose_error's angle read 0.
+# Scalar slot at or below which a quaternion is a vector quaternion [0, v].
 AXIS_EPS = 1e-12
+
+# The logarithm reads the zero rotation at qv = 0, and at |qv| <= this
+# where q0 <= 0: q is then -1 up to rounding (|qv| = 1.2e-16 after a full
+# turn) and its axis is noise.  For q0 > 0, qv (th / |qv|) is exact.
+LOG_AXIS_EPS = 1e-14
+
+# theta_e within this of pi, the log's branch boundary, is flagged in traces.
+LOG_BRANCH_MARGIN = 1e-2
 
 # Constructors re-normalize unit parts whose norm deviates by less than
 # this, and reject anything further out (catches logic errors, absorbs

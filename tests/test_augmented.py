@@ -3,7 +3,7 @@ import pytest
 
 from auquat import augmented as aug
 from auquat import quaternion as qt
-from auquat.errors import AVQClosureViolation, NotInvertible
+from auquat.errors import AVQClosureViolation, ZeroMagnitude
 from auquat.tolerances import ALGEBRA_ATOL
 
 RNG = np.random.default_rng(5150)
@@ -128,7 +128,7 @@ def test_aq_inverse_roundtrip_general():
 
 
 def test_aq_inverse_zero_quaternion_raises():
-    with pytest.raises(NotInvertible):
+    with pytest.raises(ZeroMagnitude):
         aug.aq_inverse([0.0, 0, 0, 0, 1, 2, 3])
 
 

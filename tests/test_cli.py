@@ -73,9 +73,9 @@ def test_simulate_and_probe(tmp_path):
 def test_probe_measures_small_offsets(tmp_path):
     """Both jumps read 2 pi - delta at offsets far below 1e-7 rad."""
     report = tmp_path / "probe.txt"
-    assert main(["probe", "--deltas", "1e-7,1e-8,1e-10", "-o", str(report)]) == 0
+    assert main(["probe", "--deltas", "1e-7,1e-8,1e-10,2e-12,1e-13", "-o", str(report)]) == 0
     table = np.loadtxt(report, skiprows=2)
-    np.testing.assert_array_equal(table[:, 0], [1e-7, 1e-8, 1e-10])
+    np.testing.assert_array_equal(table[:, 0], [1e-7, 1e-8, 1e-10, 2e-12, 1e-13])
     for column in (1, 2):
         np.testing.assert_allclose(table[:, column], 2 * np.pi - table[:, 0], rtol=0, atol=1e-12)
 

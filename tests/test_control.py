@@ -285,6 +285,18 @@ def test_a_nan_rotation_error_is_not_the_zero_rotation():
         assert np.isnan(ops.axis_scale(np.nan, np.nan))
 
 
+@pytest.mark.parametrize("p0", [1.0, -1.0])
+@pytest.mark.parametrize("vn", [0.0, 1e-16, 1e-14, 2e-14, 1e-13, 1e-11])
+def test_kernel_log_reads_the_zero_rotation_where_qlog_vec_does(p0, vn):
+    # only qv = 0, and |qv| <= 1e-14 on the far hemisphere, is the zero
+    # rotation; near the identity every |qv| > 0 keeps its angle
+    zero = vn == 0.0 or (p0 < 0.0 and vn <= 1e-14)
+    expected = 0.0 if zero else vn * (np.arctan2(vn, p0) / vn)
+    assert qt.qlog_vec([p0, vn, 0.0, 0.0])[0] == expected
+    for ops in (ctl._FLOAT_OPS, ctl._ARRAY_OPS):
+        assert vn * ops.axis_scale(vn, ops.atan2(vn, p0)) == expected
+
+
 def test_a_nan_scalar_part_is_not_the_zero_rotation():
     # the vector part is exactly zero, so only the NaN angle can carry the NaN
     q = np.array([np.nan, 0.0, 0.0, 0.0])

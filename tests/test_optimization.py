@@ -588,6 +588,24 @@ def test_posegraph_solve_starts_from_the_problem_initial_guess():
     np.testing.assert_allclose(result.solution, expected, rtol=0, atol=1e-15)
 
 
+def test_an_initial_guess_solves_as_the_same_start_passed_to_solve():
+    """`initial=` is normalized once, at construction, as `solve(init=...)`
+    normalizes its start once, so the two routes take the same restarts,
+    iterations and solution bits."""
+    config = opt.SolverConfig(restarts=4)
+    for s in range(40):
+        noise = NoiseModel(0.01, 0.01, s) if s % 2 else None
+        graph, _ = gen_posegraph(12 + s % 7, 10, s, 1.0, noise)
+        start = aug.random_auq(np.random.default_rng(1000 + s), graph.n)
+        given = opt.PoseGraphProblem(
+            edges=graph.edges, measurements=graph.measurements, initial=start
+        )
+        passed = opt.PoseGraphProblem(edges=graph.edges, measurements=graph.measurements)
+        a, b = opt.solve(given, config), opt.solve(passed, config, init=start)
+        assert (len(a.restarts), a.iterations) == (len(b.restarts), b.iterations), s
+        assert a.solution.tobytes() == b.solution.tobytes(), s
+
+
 @pytest.mark.parametrize("kind", ["posegraph", "handeye", "world"])
 def test_solve_that_starts_converged_takes_no_step(kind, monkeypatch):
     """A start whose tangent gradient already meets grad_tol ends its

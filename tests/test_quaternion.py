@@ -3,6 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auquat import augmented as aug
+from auquat import control as ctl
+from auquat import dualquat as dqm
+from auquat import motion
+from auquat import optimization as opt
 from auquat import quaternion as qt
 from auquat.errors import ZeroMagnitude
 from auquat.tolerances import ALGEBRA_ATOL
@@ -324,7 +329,7 @@ def test_qlog_of_a_nan_vector_part_is_nan(q):
     assert np.all(np.isnan(qt.qlog_vec(q)))
 
 
-@pytest.mark.parametrize("angle", [1e-6, 1e-9, 1e-11])
+@pytest.mark.parametrize("angle", [1e-6, 1e-9, 1e-11, 1e-13, 1e-100])
 def test_qlog_keeps_relative_precision_near_identity(angle):
     # arccos(q0) loses half the digits here and returns 0 below ~1.5e-8
     v = angle * np.array([0.6, 0.0, -0.8])
@@ -346,3 +351,45 @@ def test_random_unit_symmetric_on_sphere():
     q = qt.random_unit(7, 100_000)
     np.testing.assert_allclose(qt.qnorm(q), 1.0, atol=ALGEBRA_ATOL)
     assert abs(q[:, 0].mean()) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# one array contract for every algebra entry point
+
+_GAINS = ctl.Gains(np.ones(3), np.ones(3))
+
+# each entry passes `bad` in one argument slot and valid values in the others
+_ENTRY_POINTS = {
+    "qmul": lambda bad: qt.qmul(bad, qt.IDENTITY),
+    "qmul q": lambda bad: qt.qmul(qt.IDENTITY, bad),
+    "qconj": qt.qconj,
+    "qlog_vec": qt.qlog_vec,
+    "qexp": qt.qexp,
+    "ensure_unit": qt.ensure_unit,
+    "cross_matrix": qt.cross_matrix,
+    "compose": lambda bad: aug.compose(bad, aug.IDENTITY),
+    "compose y": lambda bad: aug.compose(aug.IDENTITY, bad),
+    "as_auq": aug.as_auq,
+    "aq": lambda bad: aug.aq(bad, np.zeros(3)),
+    "aq t": lambda bad: aug.aq(qt.IDENTITY, bad),
+    "aq_inverse": aug.aq_inverse,
+    "auq_inverse": aug.auq_inverse,
+    "dq": lambda bad: dqm.dq(bad, np.zeros(4)),
+    "dq_mul": lambda bad: dqm.dq_mul(bad, dqm.IDENTITY),
+    "dq_mul q": lambda bad: dqm.dq_mul(dqm.IDENTITY, bad),
+    "from_auq": dqm.from_auq,
+    "to_auq": dqm.to_auq,
+    "quat_from_rotvec": motion.quat_from_rotvec,
+    "pose_error": lambda bad: opt.pose_error(bad, aug.IDENTITY),
+    "lyapunov": ctl.lyapunov,
+    "proportional_control": lambda bad: ctl.proportional_control(bad, _GAINS),
+    "Twist": lambda bad: ctl.Twist(bad, np.zeros(3)),
+    "Twist v": lambda bad: ctl.Twist(np.zeros(3), bad),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, np.ones((2, 5))], ids=["0-d", "trailing-5"])
+@pytest.mark.parametrize("call", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS.keys())
+def test_entry_points_refuse_a_wrong_trailing_dimension(call, bad):
+    with pytest.raises(ValueError, match="expected trailing dimension"):
+        call(bad)
