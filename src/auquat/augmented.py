@@ -109,8 +109,7 @@ def auq_inverse(x) -> np.ndarray:
 
 def sigma_magnitude(x, sigma: float = 1.0) -> np.ndarray | float:
     """Weighted magnitude sqrt(|p|^2 + sigma |t|^2), sigma positive and finite."""
-    if not 0.0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
+    quat._positive_finite("sigma", sigma)
     x = quat._trailing(x, 7)
     p2 = np.sum(x[..., :4] ** 2, axis=-1)
     t2 = np.sum(x[..., 4:] ** 2, axis=-1)

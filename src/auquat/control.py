@@ -54,11 +54,6 @@ DYNAMICS_EXPONENTIAL = "exponential"
 DYNAMICS_TWIST = "twist"
 
 
-def _positive_finite(values) -> bool:
-    values = np.asarray(values, dtype=float)
-    return bool(np.all((values > 0.0) & (values < np.inf)))
-
-
 @dataclass(frozen=True)
 class Gains:
     """Diagonal controller gains, all entries positive and finite."""
@@ -71,8 +66,7 @@ class Gains:
         object.__setattr__(self, "kt", np.asarray(self.kt, dtype=float))
         if self.kr.shape != (3,) or self.kt.shape != (3,):
             raise ValueError("gains must be 3-vectors")
-        if not (_positive_finite(self.kr) and _positive_finite(self.kt)):
-            raise ValueError("gain entries must be positive and finite")
+        quat._positive_finite("gain entries", self.kr, self.kt)
 
     @property
     def k_min(self) -> float:
@@ -87,8 +81,7 @@ class LyapunovWeights:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not _positive_finite([self.alpha, self.beta]):
-            raise ValueError("weights must be positive and finite")
+        quat._positive_finite("weights", self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -243,13 +236,16 @@ def _rk4_step(xe, kr, kt, dt, ww_weight, ops):
 
 def _start(x0, xd, dt: float, steps: int, dynamics: str):
     """Validate a run; return its initial error pose and its ww_weight."""
-    if not _positive_finite(dt):
-        raise ValueError("dt must be positive and finite")
+    quat._positive_finite("dt", dt)
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if dynamics not in _WW_WEIGHT:
         raise ValueError(f"unknown dynamics {dynamics!r}")
-    return error_auq(aug.as_auq(x0), aug.as_auq(xd)), _WW_WEIGHT[dynamics]
+    with np.errstate(over="ignore", invalid="ignore"):
+        xe = error_auq(aug.as_auq(x0), aug.as_auq(xd))
+    if not np.all(np.isfinite(xe)):
+        raise ValueError("the start error pose x0^-1 o xd is not finite")
+    return xe, _WW_WEIGHT[dynamics]
 
 
 def _run(xe, kr, kt, dt, steps, ww_weight, ops, on_step):
@@ -343,8 +339,7 @@ def integrate_batch(
         raise ValueError(f"x0 and xd must have shape (B, 7), got {x0.shape} and {xd.shape}")
     xe, ww_weight = _start(x0, xd, dt, steps, dynamics)
     kr, kt = (np.broadcast_to(np.asarray(k, dtype=float), (len(xe), 3)) for k in (kr, kt))
-    if not (_positive_finite(kr) and _positive_finite(kt)):
-        raise ValueError("gain entries must be positive and finite")
+    quat._positive_finite("gain entries", kr, kt)
 
     V, max_renorm = np.empty((len(xe), steps + 1)), np.zeros(len(xe))
     block = np.empty((min(steps + 1, 64), 7, len(xe)))  # states whose V is still to derive

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import quaternion as quat
 from .errors import ConstraintViolated
-from .tolerances import ALGEBRA_ATOL, AVQ_SCALAR_TOL
+from .tolerances import ALGEBRA_ATOL
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 IDENTITY.setflags(write=False)
@@ -78,11 +78,10 @@ def from_auq(x) -> np.ndarray:
 def to_auq(q) -> np.ndarray:
     """Recover the 7-component pose: translation quaternion 2 qs* qd.
 
-    Validates the input invariants and that the recovered translation
-    quaternion has a scalar slot of at most AVQ_SCALAR_TOL.
+    Validates the input invariants.  The scalar slot of the translation
+    quaternion, 2 <qs, qd>, is then the orthogonality defect's, at most
+    ALGEBRA_ATOL, and is dropped.
     """
     q = check_unit(q)
     t_quat = 2.0 * quat.qmul(quat.qconj(q[..., :4]), q[..., 4:])
-    if np.any(np.abs(t_quat[..., 0]) > AVQ_SCALAR_TOL):
-        raise ConstraintViolated("recovered translation has a non-zero scalar slot")
     return np.concatenate([q[..., :4], t_quat[..., 1:]], axis=-1)

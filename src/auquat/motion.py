@@ -128,7 +128,6 @@ def discontinuity_report(axis, deltas) -> np.ndarray:
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     if deltas.size == 0:
         raise ValueError("need at least one offset")
-    if not np.all((deltas > 0.0) & (deltas < np.inf)):
-        raise ValueError("offsets must be positive and finite")
+    quat._positive_finite("offsets", deltas)
     rows = [(d, rotvec_jump(axis, d), oplus_jump(axis, d)) for d in deltas]
     return np.array(rows)

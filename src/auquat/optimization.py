@@ -12,24 +12,25 @@ magnitude (translation components weighted by sigma).  The feasible set
 is a product of unit 3-spheres (one per pose block) times R^3 factors.
 
 Each problem class is its own kernel, which the solver reads only
-through `residuals(x)`, the (m, 7) residuals at the (n, 7) pose blocks
-x; `linearize(x)`, the residuals z, the (m, s) blocks `cols` each one
-depends on and the (m, s, 7, 7) ambient Jacobians dz/dx[cols] (s = 1 for
-hand-eye, 2 otherwise); `gauge`, the blocks held at the identity; and
+through `residuals(x)`, the (m, 7) residuals z at the (n, 7) pose blocks
+x; `linearize(x)`, the (m, s) blocks `cols` each residual depends on and
+the (m, s, 7, 7) ambient Jacobians dz/dx[cols] (s = 1 for hand-eye, 2
+otherwise); `gauge`, the blocks held at the identity; and
 `initial_guess()` (identity blocks; for pose graphs `initial`, or else a
 spanning-forest chaining of the measurements).  The gradient J^T W z and
 the Gauss-Newton step both read `linearize`.  Each restart is one
 tangent-space Gauss-Newton loop on the normal equations, summed from the
-6x6 tangent blocks of every residual.  Before each step it tests their
-tangent gradient norm, so a converged start takes no step.  Steps
-(minimum-norm least squares only for a singular system) are halved until
-the objective falls and retracted by renormalizing every quaternion
-block.  A pose graph's objective is invariant under a left translation
-of each weakly connected component, so its gauge is the lowest vertex of
-every component; a vertex that no edge measures is refused.  One
-breadth-first walk at construction yields both the gauge and the
-spanning forest.  `solve` sets the gauge blocks of every start to the
-identity, and no step moves them.
+6x6 tangent blocks of every residual.  It evaluates each point once, and
+assembles them from the residuals of the point it accepts.  Before each
+step it tests their tangent gradient norm, so a converged start takes no
+step.  Steps (minimum-norm least squares only for a singular system) are
+halved until the objective falls and retracted by renormalizing every
+quaternion block.  A pose graph's objective is invariant under a left
+translation of each weakly connected component, so its gauge is the
+lowest vertex of every component; a vertex that no edge measures is
+refused.  One breadth-first walk at construction yields both the gauge
+and the spanning forest.  `solve` sets the gauge blocks of every start
+to the identity, and no step moves them.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class HandEyeProblem:
     a: np.ndarray
     b: np.ndarray
     sigma: float = 1.0
+    n_blocks = 1
     gauge = np.zeros(0, dtype=int)  # no held blocks
 
     def __post_init__(self):
@@ -82,23 +84,14 @@ class HandEyeProblem:
             raise ValueError("a and b must hold the same number of poses")
         if len(self.a) < 1:
             raise ValueError("at least one measurement pair is required")
-        if not 0.0 < self.sigma < np.inf:
-            raise ValueError("sigma must be positive and finite")
-
-    @property
-    def n_blocks(self) -> int:
-        return 1
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.a)
+        quat._positive_finite("sigma", self.sigma)
 
     def residuals(self, x) -> np.ndarray:
         return residual_handeye(x[0], self.a, self.b)
 
-    def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
         jac = _compose_jac_right(self.a, x[0]) - _compose_jac_left(self.b)
-        return self.residuals(x), np.zeros((self.pair_count, 1), dtype=int), jac[:, None]
+        return np.zeros((len(self.a), 1), dtype=int), jac[:, None]
 
     def initial_guess(self) -> np.ndarray:
         return np.tile(aug.identity(), (self.n_blocks, 1))
@@ -108,16 +101,14 @@ class HandEyeProblem:
 class HandEyeWorldProblem(HandEyeProblem):
     """Pairs (a_i, b_i) constraining two unknowns: x and the world pose y."""
 
-    @property
-    def n_blocks(self) -> int:
-        return 2
+    n_blocks = 2
 
     def residuals(self, x) -> np.ndarray:
         return residual_handeye_world(x[0], x[1], self.a, self.b)
 
-    def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
         jac = np.stack([_compose_jac_right(self.a, x[0]), -_compose_jac_left(self.b)], axis=1)
-        return self.residuals(x), np.tile([0, 1], (self.pair_count, 1)), jac
+        return np.tile([0, 1], (len(self.a), 1)), jac
 
 
 @dataclass
@@ -160,8 +151,7 @@ class PoseGraphProblem:
             raise ValueError(f"edge indices must be integers, got dtype {self.edges.dtype}")
         if np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise ValueError("self loops are not allowed")
-        if not 0.0 < self.sigma < np.inf:
-            raise ValueError("sigma must be positive and finite")
+        quat._positive_finite("sigma", self.sigma)
         if self.initial is not None:
             self.initial = _unit_blocks(self.initial, "initial")
             if len(self.initial) != self.n:
@@ -198,11 +188,11 @@ class PoseGraphProblem:
     def residuals(self, x) -> np.ndarray:
         return residual_slam(x[self.edges[:, 0]], x[self.edges[:, 1]], self.measurements)
 
-    def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
         xi, xj = x[self.edges[:, 0]], x[self.edges[:, 1]]
         jac = np.stack([_compose_jac_left(xj) @ _auq_inverse_jac(xi),
                         _compose_jac_right(aug.auq_inverse(xi), xj)], axis=1)
-        return self.residuals(x), self.edges, jac
+        return self.edges, jac
 
     def initial_guess(self) -> np.ndarray:
         """A copy of `initial`, else chaining along the walk's tree arcs."""
@@ -260,16 +250,23 @@ def _component_weights(problem: Problem) -> np.ndarray:
     return np.array([1.0] * 4 + [problem.sigma] * 3)
 
 
+def _evaluate(problem: Problem, x) -> tuple[np.ndarray, float]:
+    """The residuals z at x and the objective f they give."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, handled by callers
+        z = residuals(problem, x)
+        return z, 0.5 * float(np.sum((z * z) @ _component_weights(problem)))
+
+
 def objective(problem: Problem, x) -> float:
     """(1/2) sum of squared sigma-weighted residual magnitudes."""
-    z = residuals(problem, x)
-    with np.errstate(over="ignore"):  # overflow surfaces as inf, handled by callers
-        return 0.5 * float(np.sum((z * z) @ _component_weights(problem)))
+    return _evaluate(problem, x)[1]
 
 
 def gradient(problem: Problem, x) -> np.ndarray:
     """Ambient gradient of the objective, flattened to length 7 n."""
-    z, cols, jac = problem.linearize(_as_blocks(problem, x))
+    x = _as_blocks(problem, x)
+    z = problem.residuals(x)
+    cols, jac = problem.linearize(x)
     grad = np.zeros((problem.n_blocks, 7))
     np.add.at(grad, cols, np.einsum("msij,mi->msj", jac, z * _component_weights(problem)))
     return grad.ravel()
@@ -369,8 +366,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.grad_tol < np.inf:
-            raise ValueError("grad_tol must be positive and finite")
+        quat._positive_finite("grad_tol", self.grad_tol)
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.restarts < 1:
@@ -417,7 +413,7 @@ def _check_init(problem: Problem, init) -> np.ndarray:
         raise InfeasibleInit(f"infeasible initial guess: {exc}") from None
 
 
-def _normal_equations(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normal_equations(problem: Problem, x, z, free) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tangent normal equations of the free blocks: (H (6k, 6k), g (k, 6), bases (k, 4, 3)).
 
     H and g = J^T W z are summed from the 6x6 blocks J_s^T J_t and J_s^T z
@@ -429,7 +425,7 @@ def _normal_equations(problem: Problem, x, free) -> tuple[np.ndarray, np.ndarray
     col[free] = np.arange(k)
     bases = _sphere_basis(x[free, :4])
     sqrt_w = np.sqrt(_component_weights(problem))
-    z, cols, jac = problem.linearize(x)
+    cols, jac = problem.linearize(x)
     z = z * sqrt_w
     # tangent Jacobians (m, s, 7, 6); a gauge block's is zero and adds to column 0
     c = col[cols]
@@ -470,11 +466,11 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
     grad_tol, else when the cap is spent, no halved step lowers f, or the
     relative decrease is at rounding level; the last |g| sets the status.
     """
-    f = objective(problem, x)
+    z, f = _evaluate(problem, x)
     if not np.isfinite(f):
         raise NonFiniteObjective("objective is not finite at the initial point")
     free = _free_blocks(problem)
-    hess, grad, bases = _normal_equations(problem, x, free)
+    hess, grad, bases = _normal_equations(problem, x, z, free)
     iterations = 0
     status = STATUS_STALLED
     for _ in range(cfg.max_iters):
@@ -490,16 +486,16 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         alpha = 1.0
         while alpha >= 2.0 ** -24:
             x_new = _retract(x + alpha * step)
-            f_new = objective(problem, x_new)
+            z_new, f_new = _evaluate(problem, x_new)
             if np.isfinite(f_new) and f_new < f:
                 break
             alpha *= 0.5
         else:  # no halved step lowers the objective
             break
         improvement = f - f_new
-        x, f = x_new, f_new
+        x, z, f = x_new, z_new, f_new
         iterations += 1
-        hess, grad, bases = _normal_equations(problem, x, free)
+        hess, grad, bases = _normal_equations(problem, x, z, free)
         if improvement <= 1e-15 * f:
             break
     else:  # the cap was spent

@@ -37,6 +37,12 @@ def _trailing(x, n: int) -> np.ndarray:
     return x
 
 
+def _positive_finite(name: str, *values) -> None:
+    """Raise ValueError naming the values unless every entry is positive and finite."""
+    if not all(np.all((v > 0.0) & (v < np.inf)) for v in map(np.asarray, values)):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Concatenate a and b on the last axis, broadcasting the other axes."""
     batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])

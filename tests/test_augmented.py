@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,34 @@ def test_as_auq_rejects_non_finite():
         aug.as_auq([np.nan, 0, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError):
         aug.as_auq([1.0, 0, 0, 0, np.inf, 0, 0])
+
+
+def test_auq_normalizes_and_quat_part_reads_the_quaternion():
+    p = np.array([0.6, 0.0, 0.8, 0.0]) * (1.0 + 1e-10)
+    x = aug.auq(p, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(x[4:], [1.0, 2.0, 3.0])
+    assert abs(qt.qnorm(x[:4]) - 1.0) <= 1e-15
+    np.testing.assert_array_equal(aug.quat_part(x), x[:4])
+    np.testing.assert_array_equal(aug.quat_part(np.stack([x, x])), np.stack([x[:4], x[:4]]))
+
+
+_REFUSALS = {
+    **{f"sigma-{s}": (lambda s=s: aug.sigma_magnitude(aug.IDENTITY, s),
+                      "sigma must be positive and finite") for s in (0.0, -1.0, np.inf, np.nan)},
+    "auq-non-unit": (lambda: aug.auq([2.0, 0.0, 0.0, 0.0], np.zeros(3)),
+                     "quaternion norm deviates from 1 by 1.000e+00 (tol 1.0e-09)"),
+    "auq-nan": (lambda: aug.auq([np.nan, 0.0, 0.0, 0.0], np.zeros(3)),
+                "quaternion components must be finite"),
+    "quat_part-0d": (lambda: aug.quat_part(1.0), "expected trailing dimension 7, got shape ()"),
+    "quat_part-4": (lambda: aug.quat_part(aug.IDENTITY[:4]),
+                    "expected trailing dimension 7, got shape (4,)"),
+}
+
+
+@pytest.mark.parametrize("build, message", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_pose_refusals_name_the_input(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def _fd_jacobian(func, x, h):

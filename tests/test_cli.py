@@ -174,6 +174,8 @@ def test_noisy_calibration_reports_a_converged_restart(tmp_path):
         ["--alpha", "inf"],
         ["--kr=inf,1,1"],
         ["--dt", "inf"],
+        # finite poses whose error pose x0^-1 o xd overflows
+        ["--start=1,0,0,0,1e308,1e308,1e308", "--target=0,1,0,0,-1e308,-1e308,-1e308"],
     ],
 )
 def test_simulate_invalid_value_exit_code(tmp_path, capsys, option):

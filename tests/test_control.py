@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -184,6 +185,44 @@ def test_lyapunov_values():
 def test_lyapunov_weights_validation():
     with pytest.raises(ValueError):
         ctl.LyapunovWeights(alpha=0.0)
+
+
+_ONES = np.ones(3)
+_REFUSALS = {
+    "gains-2": (lambda: ctl.Gains(np.ones(2), _ONES), "gains must be 3-vectors"),
+    "gains-3x1": (lambda: ctl.Gains(_ONES, np.ones((3, 1))), "gains must be 3-vectors"),
+    **{f"kr-{k}": (lambda k=k: ctl.Gains([1.0, k, 1.0], _ONES),
+                   "gain entries must be positive and finite") for k in (0.0, np.inf, np.nan)},
+    "kt-negative": (lambda: ctl.Gains(_ONES, [1.0, 1.0, -1.0]),
+                    "gain entries must be positive and finite"),
+    "alpha-0": (lambda: ctl.LyapunovWeights(alpha=0.0), "weights must be positive and finite"),
+    "beta-nan": (lambda: ctl.LyapunovWeights(beta=np.nan), "weights must be positive and finite"),
+    **{f"dt-{dt}": (lambda dt=dt: ctl.integrate(aug.IDENTITY, aug.IDENTITY, ctl.Gains(_ONES, _ONES),
+                                                dt, 5),
+                    "dt must be positive and finite") for dt in (0.0, np.inf, np.nan)},
+    "batch-dt-0": (lambda: ctl.integrate_batch(aug.IDENTITY[None], aug.IDENTITY[None], _ONES, _ONES,
+                                               0.0, 5),
+                   "dt must be positive and finite"),
+    "batch-kr-0": (lambda: ctl.integrate_batch(aug.IDENTITY[None], aug.IDENTITY[None],
+                                               [1.0, 0.0, 1.0], _ONES, 1e-3, 5),
+                   "gain entries must be positive and finite"),
+    "batch-kt-inf": (lambda: ctl.integrate_batch(np.tile(aug.IDENTITY, (2, 1)),
+                                                 np.tile(aug.IDENTITY, (2, 1)), _ONES,
+                                                 [[1.0, 1.0, 1.0], [1.0, np.inf, 1.0]], 1e-3, 5),
+                     "gain entries must be positive and finite"),
+    # finite poses whose error pose x0^-1 o xd overflows
+    "batch-error-pose-overflows": (
+        lambda: ctl.integrate_batch([[1.0, 0, 0, 0, 1e308, 1e308, 1e308]],
+                                    [[0.0, 1, 0, 0, -1e308, -1e308, -1e308]],
+                                    _ONES, _ONES, 1e-3, 5),
+        "the start error pose x0^-1 o xd is not finite"),
+}
+
+
+@pytest.mark.parametrize("build, message", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_controller_refusals_name_the_input(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 # ---------------------------------------------------------------------------

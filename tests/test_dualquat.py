@@ -89,6 +89,18 @@ def test_to_auq_rejects_orthogonality_violation():
         dq.to_auq(bad)
 
 
+@pytest.mark.parametrize("slot", [2e-12, 1e-11, 2e-10])
+def test_to_auq_refuses_a_translation_scalar_slot_as_an_orthogonality_defect(slot):
+    """The scalar slot 2 <qs, qd> of the recovered translation quaternion is
+    the orthogonality defect's scalar, so any slot above ALGEBRA_ATOL is
+    refused by the defect test."""
+    bad = dq.from_auq(_rand_auq(rng=np.random.default_rng(3))).copy()
+    bad[4:] += 0.5 * slot * bad[:4]  # adds slot / 2 to <qs, qd>
+    assert abs(2.0 * qt.qmul(qt.qconj(bad[:4]), bad[4:])[0]) > ALGEBRA_ATOL
+    with pytest.raises(ConstraintViolated, match="orthogonality defect"):
+        dq.to_auq(bad)
+
+
 def test_to_auq_rejects_non_unit_standard_part():
     bad = dq.from_auq(_rand_auq()).copy()
     bad[:4] *= 1.5

@@ -56,7 +56,7 @@ def test_comma_separated_fields_accepted(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("SIGMA 1\nPAIR 1,0,0,0,0,0,0 1 0 0 0 0 0 0\n")
     problem = files.parse_problem_file(path)
-    assert problem.pair_count == 1
+    assert len(problem.a) == 1
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,20 @@ def test_posegraph_two_vertices_single_edge():
     np.testing.assert_allclose(problem.measurements[0], x_true[1], atol=ALGEBRA_ATOL)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gen.gen_posegraph(1, 0), "need at least two vertices"),
+        (lambda: gen.gen_handeye(0, seed=1), "need at least one pair"),
+        (lambda: gen.gen_handeye_world(0, seed=1), "need at least one pair"),
+    ],
+    ids=["one-vertex-graph", "no-pairs", "no-world-pairs"],
+)
+def test_generators_refuse_an_empty_instance(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_posegraph_rejects_too_many_arcs():
     with pytest.raises(ValueError):
         gen.gen_posegraph(n=3, loop_edges=100, seed=0)

@@ -206,3 +206,18 @@ def test_discontinuity_report():
         motion.discontinuity_report([0.0, 0.0, 0.0], [1e-6])
     with pytest.raises(ValueError, match="at least one offset"):
         motion.discontinuity_report([0.0, 0.0, 1.0], [])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: motion.Motion(np.zeros(2), np.zeros(3)), "motion parts must be 3-vectors"),
+        (lambda: motion.Motion(np.zeros(3), np.zeros((1, 3))), "motion parts must be 3-vectors"),
+        *[(lambda d=d: motion.discontinuity_report([0.0, 0.0, 1.0], [1e-3, d]),
+           "offsets must be positive and finite") for d in (0.0, -1.0, np.inf, np.nan)],
+    ],
+    ids=["rotvec-2", "translation-1x3", "offset-0", "offset-negative", "offset-inf", "offset-nan"],
+)
+def test_motion_refusals_name_the_input(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

@@ -1,3 +1,4 @@
+import re
 import time
 import warnings
 from collections import Counter, deque
@@ -147,8 +148,7 @@ def test_linearize_jacobian_matches_finite_differences(kind):
     h = 1e-6
     for _ in range(3):
         x = _rand_auq(problem.n_blocks, rng=rng)
-        z, cols, jac = problem.linearize(x)
-        np.testing.assert_array_equal(z, problem.residuals(x))
+        cols, jac = problem.linearize(x)
         m, s = cols.shape
         assert jac.shape == (m, s, 7, 7)
         for b in range(problem.n_blocks):
@@ -330,14 +330,16 @@ def test_nonfinite_init_is_infeasible(block, value):
 
 
 def test_nonfinite_objective_raises():
-    # translations large enough to overflow the squared residuals
-    a = np.array([[1.0, 0, 0, 0, 1e200, 0, 0]])
-    b = np.array([[1.0, 0, 0, 0, -1e200, 0, 0]])
-    problem = opt.HandEyeProblem(a=a, b=b)
+    # translations large enough to overflow the squared residuals, and at
+    # 1e308 the residuals themselves
     from auquat.errors import NonFiniteObjective
 
-    with pytest.raises(NonFiniteObjective):
-        opt.solve(problem, opt.SolverConfig(restarts=1), init=np.array([[1.0, 0, 0, 0, 0, 0, 0]]))
+    for t in (1e200, 1e308):
+        a = np.array([[1.0, 0, 0, 0, t, 0, 0]])
+        b = np.array([[1.0, 0, 0, 0, -t, 0, 0]])
+        problem = opt.HandEyeProblem(a=a, b=b)
+        with pytest.raises(NonFiniteObjective):
+            opt.solve(problem, opt.SolverConfig(restarts=1), init=aug.IDENTITY[None])
 
 
 def test_restart_records_and_early_stop():
@@ -377,6 +379,38 @@ def test_problem_validation():
         )  # self loop
     with pytest.raises(ValueError):
         opt.PoseGraphProblem(edges=[[0, 5]], measurements=_rand_auq(1))
+
+
+def _identities(*shape):
+    return np.tile(aug.IDENTITY, shape + (1,))
+
+
+_REFUSALS = {
+    "pair counts differ": (lambda: opt.HandEyeProblem(a=_identities(2), b=_identities(3)),
+                           "a and b must hold the same number of poses"),
+    "no pairs": (lambda: opt.HandEyeProblem(a=np.zeros((0, 7)), b=np.zeros((0, 7))),
+                 "at least one measurement pair is required"),
+    "stacked a": (lambda: opt.HandEyeProblem(a=_identities(2, 3), b=_identities(3)),
+                  "a must have shape (m, 7), got (2, 3, 7)"),
+    "hand-eye sigma nan": (lambda: opt.HandEyeProblem(_identities(1), _identities(1), np.nan),
+                           "sigma must be positive and finite"),
+    "edges (m, 3)": (lambda: opt.PoseGraphProblem(edges=[[0, 1, 2]], measurements=_identities(1)),
+                     "edges must have shape (m, 2)"),
+    "measurement count": (lambda: opt.PoseGraphProblem([[0, 1], [1, 2]], _identities(3)),
+                          "one measurement per edge is required"),
+    **{f"graph sigma {s}": (lambda s=s: opt.PoseGraphProblem([[0, 1]], _identities(1), s),
+                            "sigma must be positive and finite") for s in (0.0, np.inf, np.nan)},
+    "initial length": (lambda: opt.PoseGraphProblem([[0, 1]], _identities(1), 1.0, _identities(3)),
+                       "initial guess must cover every vertex"),
+    **{f"grad_tol {g}": (lambda g=g: opt.SolverConfig(grad_tol=g),
+                         "grad_tol must be positive and finite") for g in (0.0, np.inf, np.nan)},
+}
+
+
+@pytest.mark.parametrize("build, message", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_problems_and_config_refuse_invalid_input(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def _reference_component_labels(n, edges):
@@ -520,8 +554,8 @@ def _dense_lstsq_step(problem, x):
     free = opt._free_blocks(problem)
     col_of = {int(b): c for c, b in enumerate(free)}
     sqrt_w = np.sqrt(opt._component_weights(problem))
-    z, cols, jblocks = problem.linearize(x)
-    z = z * sqrt_w
+    cols, jblocks = problem.linearize(x)
+    z = problem.residuals(x) * sqrt_w
     jac = np.zeros((len(z), 7, len(free), 6))
     for r in range(len(z)):
         for b, jb in zip(cols[r], jblocks[r] * sqrt_w[:, None]):
@@ -546,7 +580,8 @@ def test_gauss_newton_step_matches_dense_lstsq(kind):
         problem, x = gen_posegraph(n=8, loop_edges=6, seed=5)
     x = opt._retract(x + 0.05 * rng.normal(size=x.shape))
     x[problem.gauge] = aug.IDENTITY
-    hess, grad, bases = opt._normal_equations(problem, x, opt._free_blocks(problem))
+    hess, grad, bases = opt._normal_equations(problem, x, problem.residuals(x),
+                                              opt._free_blocks(problem))
     delta = opt._gauss_newton_step(hess, grad)
     reference = _dense_lstsq_step(problem, x)
     assert delta.shape == reference.shape
@@ -569,7 +604,8 @@ def test_stopping_gradient_is_the_projected_gradient(kind):
     for _ in range(3):
         x = opt._retract(_rand_auq(problem.n_blocks, rng=rng))
         x[problem.gauge] = aug.IDENTITY
-        _, grad, _ = opt._normal_equations(problem, x, opt._free_blocks(problem))
+        _, grad, _ = opt._normal_equations(problem, x, problem.residuals(x),
+                                           opt._free_blocks(problem))
         g = opt.gradient(problem, x).reshape(-1, 7)
         g[:, :4] -= np.sum(g[:, :4] * x[:, :4], axis=-1, keepdims=True) * x[:, :4]
         g[problem.gauge] = 0.0
@@ -609,7 +645,7 @@ def test_an_initial_guess_solves_as_the_same_start_passed_to_solve():
 @pytest.mark.parametrize("kind", ["posegraph", "handeye", "world"])
 def test_solve_that_starts_converged_takes_no_step(kind, monkeypatch):
     """A start whose tangent gradient already meets grad_tol ends its
-    restart before any step: one linearization, one objective call, and
+    restart before any step: one linearization, one residual evaluation, and
     the gauge-fixed start returned bit for bit."""
     init = None
     if kind == "posegraph":
@@ -623,13 +659,33 @@ def test_solve_that_starts_converged_takes_no_step(kind, monkeypatch):
     start = problem.initial_guess() if init is None else aug.as_auq(init)
     start[problem.gauge] = aug.IDENTITY
     linearized, evaluated = [], []
-    linearize, objective = problem.linearize, opt.objective
+    linearize, residuals = problem.linearize, opt.residuals
     monkeypatch.setattr(problem, "linearize", lambda x: linearized.append(1) or linearize(x))
-    monkeypatch.setattr(opt, "objective", lambda *a: evaluated.append(1) or objective(*a))
+    monkeypatch.setattr(opt, "residuals", lambda *a: evaluated.append(1) or residuals(*a))
     result = opt.solve(problem, init=init)
     assert (result.iterations, result.status) == (0, opt.STATUS_CONVERGED)
     assert (len(linearized), len(evaluated)) == (1, 1)
     assert result.solution.tobytes() == start.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["handeye", "world", "posegraph"])
+def test_a_solve_evaluates_each_point_once(kind, monkeypatch):
+    """Every residual evaluation of a noisy solve is at a new point: the
+    normal equations of an accepted point read the residuals its line
+    search computed."""
+    noise = NoiseModel(0.01, 0.01, 7)
+    if kind == "handeye":
+        problem, _ = gen_handeye(20, seed=7, noise=noise)
+    elif kind == "world":
+        problem, *_ = gen_handeye_world(20, seed=7, noise=noise)
+    else:
+        problem, _ = gen_posegraph(15, 15, 7, noise=noise)
+    points = []
+    residuals = problem.residuals
+    monkeypatch.setattr(problem, "residuals", lambda x: points.append(x.tobytes()) or residuals(x))
+    result = opt.solve(problem, opt.SolverConfig(restarts=2))
+    assert sum(r.iterations for r in result.restarts) >= 3
+    assert len(points) == len(set(points))
 
 
 def test_solve_weakly_disconnected_graph(monkeypatch):
@@ -661,7 +717,9 @@ def test_pure_translation_pairs_take_the_lstsq_step(monkeypatch):
     a_t = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3], [-2, 1, 0.5]])
     q = np.tile(aug.IDENTITY[:4], (5, 1))
     problem = opt.HandEyeProblem(a=np.hstack([q, a_t]), b=np.hstack([q, qt.rot_apply_T(x[:4], a_t)]))
-    hess, _, _ = opt._normal_equations(problem, problem.initial_guess(), opt._free_blocks(problem))
+    x0 = problem.initial_guess()
+    free = opt._free_blocks(problem)
+    hess, _, _ = opt._normal_equations(problem, x0, problem.residuals(x0), free)
     assert not np.any(hess[3:]) and not np.any(hess[:, 3:])
     calls = []
     lstsq = np.linalg.lstsq
