@@ -29,8 +29,9 @@ quaternion block.  A pose graph's objective is invariant under a left
 translation of each weakly connected component, so its gauge is the
 lowest vertex of every component; a vertex that no edge measures is
 refused.  One breadth-first walk at construction yields both the gauge
-and the spanning forest.  `solve` sets the gauge blocks of every start
-to the identity, and no step moves them.
+and the spanning forest; `initial_guess()` chains the forest one depth
+level at a time, with one batched `compose` per level.  `solve` sets
+the gauge blocks of every start to the identity, and no step moves them.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,7 +124,8 @@ class PoseGraphProblem:
     every other component is held at the identity too.  `gauge` lists the
     held vertices.  Construction walks the graph once, breadth first from
     each lowest unreached vertex in turn; the walk's roots give `gauge` and
-    its tree arcs the chaining of `initial_guess()`.
+    its tree arcs, grouped by the depth of their child, the chaining of
+    `initial_guess()`.
     """
 
     edges: np.ndarray
@@ -160,22 +163,23 @@ class PoseGraphProblem:
         for k, (i, j) in enumerate(self.edges.tolist()):
             adj[i].append((j, k, True))
             adj[j].append((i, k, False))
-        seen = [False] * self.n
-        gauge, self._arcs = [], []  # arcs: (parent, child, edge, edge points to child)
+        depth = [-1] * self.n
+        gauge, arcs = [], []  # arcs: (depth of child, parent, child, edge, edge points to child)
         for root in range(self.n):
-            if seen[root]:
+            if depth[root] >= 0:
                 continue
-            seen[root] = True
+            depth[root] = 0
             gauge.append(root)
             queue = deque([root])
             while queue:
                 i = queue.popleft()
                 for j, k, forward in adj[i]:
-                    if not seen[j]:
-                        seen[j] = True
-                        self._arcs.append((i, j, k, forward))
+                    if depth[j] < 0:
+                        depth[j] = depth[i] + 1
+                        arcs.append((depth[j], i, j, k, forward))
                         queue.append(j)
         self.gauge = np.array(gauge)
+        self._arcs = np.array(arcs, dtype=int)
         if len(gauge) > 1:
             # stacklevel 3: past the dataclass __init__ to its caller
             warnings.warn("pose graph is not weakly connected; solution is not unique",
@@ -194,14 +198,27 @@ class PoseGraphProblem:
                         _compose_jac_right(aug.auq_inverse(xi), xj)], axis=1)
         return self.edges, jac
 
+    @cached_property
+    def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The walk's tree arcs by the depth of their child: (parents,
+        children, measurements oriented parent -> child) per level.  Built
+        at the first chaining, so a graph given `initial` never inverts a
+        measurement."""
+        level, parent, child, edge, forward = self._arcs.T
+        y = self.measurements[edge]
+        y[forward == 0] = aug.auq_inverse(y[forward == 0])
+        order = np.argsort(level, kind="stable")
+        return [(parent[a], child[a], y[a])
+                for a in np.split(order, np.flatnonzero(np.diff(level[order])) + 1)]
+
     def initial_guess(self) -> np.ndarray:
-        """A copy of `initial`, else chaining along the walk's tree arcs."""
+        """A copy of `initial`, else the tree arcs chained one depth level at
+        a time: x[child] = x[parent] o y for every arc of a level at once."""
         if self.initial is not None:
             return self.initial.copy()
         x = np.tile(aug.identity(), (self.n, 1))
-        for i, j, k, forward in self._arcs:
-            y = self.measurements[k]
-            x[j] = aug.compose(x[i], y if forward else aug.auq_inverse(y))
+        for parent, child, y in self._levels:
+            x[child] = aug.compose(x[parent], y)
         return x
 
 
@@ -308,7 +325,7 @@ def _jacobian(qq, tq, tt) -> np.ndarray:
 def _d_rot_dq(p, t) -> np.ndarray:
     """Derivative of R(p) t with respect to p, shape (..., 3, 4)."""
     p0, pv = p[..., 0:1], p[..., 1:]
-    col0 = 2.0 * p0 * t + 2.0 * np.cross(pv, t)
+    col0 = 2.0 * p0 * t + 2.0 * quat._cross(pv, t)
     dot = np.sum(pv * t, axis=-1)[..., None, None]
     eye = np.eye(3)
     cols = (

@@ -8,9 +8,10 @@ product convention is the Hamilton one,
 
 and the rotation derived from it maps R(q) t to the vector part of the
 sandwich q [0, t] q* for unit q (active rotation).  Each formula is
-written once: the product in qmul, the rotation in rot_apply_T.  The
-matrices L(p), Rm(q) and T(v) are read off qmul and np.cross through
-constant tables, and R(q)^T off rot_apply_T applied to the unit vectors.
+written once: the product in qmul, the cross product in _cross, the
+rotation in rot_apply_T.  The matrices L(p), Rm(q) and T(v) are read off
+qmul and _cross through constant tables, and R(q)^T off rot_apply_T
+applied to the unit vectors.
 
 One array contract serves the algebra: every entry point here and in
 augmented, dualquat and control reads its arguments through _trailing,
@@ -49,6 +50,25 @@ def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([np.broadcast_to(c, batch + c.shape[-1:]) for c in (a, b)], axis=-1)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product a x b of float arrays with trailing dimension 3.
+
+    numpy's cross without its per-call overhead on small arrays: the same
+    products and differences into the same output layout, so even a NaN
+    payload comes out bit for bit as in numpy's result, broadcast alike.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    np.multiply(a2, b3, out=out[..., 0])
+    out[..., 0] -= a3 * b2
+    np.multiply(a3, b1, out=out[..., 1])
+    out[..., 1] -= a1 * b3
+    np.multiply(a1, b2, out=out[..., 2])
+    out[..., 2] -= a2 * b1
+    return out
+
+
 def qmul(p, q) -> np.ndarray:
     """Hamilton product of two quaternions."""
     p = _trailing(p, 4)
@@ -56,7 +76,7 @@ def qmul(p, q) -> np.ndarray:
     p0, pv = p[..., :1], p[..., 1:]
     q0, qv = q[..., :1], q[..., 1:]
     scalar = p0 * q0 - np.sum(pv * qv, axis=-1, keepdims=True)
-    vector = p0 * qv + q0 * pv + np.cross(pv, qv)
+    vector = p0 * qv + q0 * pv + _cross(pv, qv)
     return np.concatenate([scalar, vector], axis=-1)
 
 
@@ -76,7 +96,7 @@ def _from_table(v: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 _QMUL_RIGHT = _table(qmul, 4)
 _QMUL_LEFT = _table(lambda q, p: qmul(p, q), 4)
-_CROSS_RIGHT = _table(np.cross, 3)
+_CROSS_RIGHT = _table(_cross, 3)
 _E3 = np.eye(3)
 
 
@@ -158,7 +178,7 @@ def rot_apply_T(q, t) -> np.ndarray:
     q0, qv = q[..., :1], q[..., 1:]
     dot = np.sum(qv * t, axis=-1, keepdims=True)
     scale = q0 * q0 - np.sum(qv * qv, axis=-1, keepdims=True)
-    return 2.0 * dot * qv + scale * t - 2.0 * q0 * np.cross(qv, t)
+    return 2.0 * dot * qv + scale * t - 2.0 * q0 * _cross(qv, t)
 
 
 def rot_apply(q, t) -> np.ndarray:

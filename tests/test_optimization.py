@@ -493,6 +493,61 @@ def test_gauge_and_tree_match_a_reference_walk():
     assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
 
 
+def _reference_tree_depth(n, edges):
+    """Largest breadth-first distance from a component's lowest vertex."""
+    labels = _reference_component_labels(n, edges)
+    adj = [[] for _ in range(n)]
+    for i, j in edges.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    dist = np.where(labels == np.arange(n), 0, -1)
+    queue = deque(np.flatnonzero(dist == 0).tolist())
+    while queue:
+        i = queue.popleft()
+        for j in adj[i]:
+            if dist[j] < 0:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    return int(dist.max())
+
+
+def _graph_at_scale(kind):
+    if kind == "random":
+        return gen_posegraph(n=200, loop_edges=200, seed=29)[0]
+    chain = gen_posegraph(n=300, loop_edges=0, seed=30)[0]
+    if kind == "chain":
+        return chain
+    if kind == "reversed chain":  # every tree arc points from the child to its parent
+        return opt.PoseGraphProblem(edges=chain.edges[:, ::-1],
+                                    measurements=aug.auq_inverse(chain.measurements))
+    first, second = (gen_posegraph(n=n, loop_edges=n, seed=n)[0] for n in (120, 80))
+    with pytest.warns(UserWarning, match="not weakly connected"):
+        return opt.PoseGraphProblem(
+            edges=np.concatenate([first.edges, second.edges + 120]),
+            measurements=np.concatenate([first.measurements, second.measurements]),
+        )
+
+
+@pytest.mark.parametrize("kind", ["random", "chain", "reversed chain", "two components"])
+def test_level_chaining_matches_a_reference_walk_at_scale(kind):
+    problem = _graph_at_scale(kind)
+    labels = _reference_component_labels(problem.n, problem.edges)
+    gauge = np.unique(labels)
+    np.testing.assert_array_equal(problem.gauge, gauge)
+    assert problem.initial_guess().tobytes() == _reference_tree_guess(problem, gauge).tobytes()
+
+
+def test_level_chaining_composes_once_per_tree_depth(monkeypatch):
+    problem = _graph_at_scale("random")
+    depth = _reference_tree_depth(problem.n, problem.edges)
+    calls = []
+    compose = aug.compose
+    monkeypatch.setattr(aug, "compose", lambda x, y: calls.append(len(x)) or compose(x, y))
+    problem.initial_guess()
+    assert depth < problem.n - 1 and len(calls) <= depth, (depth, calls)
+    assert sum(calls) == problem.n - 1  # every tree arc, each once
+
+
 def test_disconnected_graph_warns():
     edges = np.array([[0, 1], [2, 3]])
     with pytest.warns(UserWarning):

@@ -132,6 +132,33 @@ def test_qinv_zero_raises():
 # cross matrix and rotation matrix
 
 
+# finite floats of every magnitude, and the entries whose signs and NaNs a
+# reordered product would give away
+_CROSS_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.5]),
+)
+
+
+def _cross_shapes(m):
+    return st.sampled_from([((3,), (3,)), ((m, 3), (3,)), ((m, 1, 3), (3, 3))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(_cross_shapes), st.data())
+def test_cross_is_numpy_cross_bit_for_bit(shapes, data):
+    """At the shapes the algebra passes: (m, 1, 3) x (3, 3) is rot_matrix_T's."""
+    a, b = (
+        np.array(data.draw(st.lists(_CROSS_ENTRIES, min_size=n, max_size=n))).reshape(shape)
+        for shape in shapes
+        for n in [int(np.prod(shape))]
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = qt._cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_cross_matrix_zero():
     np.testing.assert_array_equal(qt.cross_matrix([0.0, 0, 0]), np.zeros((3, 3)))
 
