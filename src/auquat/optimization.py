@@ -15,29 +15,42 @@ Each problem class is its own kernel, which the solver reads only
 through `residuals(x)`, the (m, 7) residuals z at the (n, 7) pose blocks
 x; `linearize(x)`, the (m, s) blocks `cols` each residual depends on and
 the (m, s, 7, 7) ambient Jacobians dz/dx[cols] (s = 1 for hand-eye, 2
-otherwise); `gauge`, the blocks held at the identity; and
-`initial_guess()` (identity blocks; for pose graphs `initial`, or else a
-spanning-forest chaining of the measurements).  The gradient J^T W z and
-the Gauss-Newton step both read `linearize`.  Each restart is one
-tangent-space Gauss-Newton loop on the normal equations, summed from the
-6x6 tangent blocks of every residual.  It evaluates each point once, and
-assembles them from the residuals of the point it accepts.  Before each
-step it tests their tangent gradient norm, so a converged start takes no
-step.  Steps (minimum-norm least squares only for a singular system) are
-halved until the objective falls and retracted by renormalizing every
-quaternion block.  A pose graph's objective is invariant under a left
-translation of each weakly connected component, so its gauge is the
-lowest vertex of every component; a vertex that no edge measures is
-refused.  One breadth-first walk at construction yields both the gauge
-and the spanning forest; `initial_guess()` chains the forest one depth
-level at a time, with one batched `compose` per level.  `solve` sets
-the gauge blocks of every start to the identity, and no step moves them.
+otherwise); `dense`, true when every residual depends on every block;
+`gauge`, the blocks held at the identity; and `initial_guess()`
+(identity blocks; for pose graphs `initial`, or else a spanning-forest
+chaining of the measurements).  The gradient J^T W z and the
+Gauss-Newton step both read `linearize`.
+
+A hand-eye residual is linear in the pose blocks but for R(q)^T t_a, q
+the quaternion of x, so each hand-eye problem forms the matrices of its
+pairs once (L(a) - Rm(b) and I - R(b)^T; for the world problem L(a),
+Rm(b) and R(b)^T): `residuals` is a few batched products, and
+`linearize` fills in only the 3x4 block d(R(q)^T t_a)/dq.
+
+Each restart is one tangent-space Gauss-Newton loop.  It evaluates each
+point once, and forms the tangent gradient g from the residuals of the
+point it accepts.  Before each step it tests |g|, so a converged start
+takes no step, and only a step assembles H.  For a dense problem the
+tangent Jacobian is one (7m, 6k) matrix, and H and g are one product
+each; otherwise they are summed from the 6x6 tangent blocks of every
+residual.  Steps (minimum-norm least squares only for a singular
+system) are halved until the objective falls and retracted by
+renormalizing every quaternion block.
+
+A pose graph's objective is invariant under a left translation of each
+weakly connected component, so its gauge is the lowest vertex of every
+component; a vertex that no edge measures is refused.  One breadth-first
+walk at construction yields both the gauge and the spanning forest;
+`initial_guess()` chains the forest one depth level at a time, with one
+batched `compose` per level.  `solve` sets the gauge blocks of every
+start to the identity, and no step moves them.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -78,6 +91,7 @@ class HandEyeProblem:
     sigma: float = 1.0
     n_blocks = 1
     gauge = np.zeros(0, dtype=int)  # no held blocks
+    dense = True  # every residual reads every block
 
     def __post_init__(self):
         self.a = _unit_blocks(self.a, "a")
@@ -88,12 +102,15 @@ class HandEyeProblem:
             raise ValueError("at least one measurement pair is required")
         quat._positive_finite("sigma", self.sigma)
 
+    @cached_property
+    def _kernel(self) -> _PairKernel:
+        return _handeye_kernel(self.a, self.b)
+
     def residuals(self, x) -> np.ndarray:
-        return residual_handeye(x[0], self.a, self.b)
+        return self._kernel.residuals(x)
 
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
-        jac = _compose_jac_right(self.a, x[0]) - _compose_jac_left(self.b)
-        return np.zeros((len(self.a), 1), dtype=int), jac[:, None]
+        return self._kernel.cols, self._kernel.jacobian(x)
 
     def initial_guess(self) -> np.ndarray:
         return np.tile(aug.identity(), (self.n_blocks, 1))
@@ -105,12 +122,9 @@ class HandEyeWorldProblem(HandEyeProblem):
 
     n_blocks = 2
 
-    def residuals(self, x) -> np.ndarray:
-        return residual_handeye_world(x[0], x[1], self.a, self.b)
-
-    def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
-        jac = np.stack([_compose_jac_right(self.a, x[0]), -_compose_jac_left(self.b)], axis=1)
-        return np.tile([0, 1], (len(self.a), 1)), jac
+    @cached_property
+    def _kernel(self) -> _PairKernel:
+        return _world_kernel(self.a, self.b)
 
 
 @dataclass
@@ -133,6 +147,7 @@ class PoseGraphProblem:
     sigma: float = 1.0
     initial: np.ndarray | None = None
     n: int = field(init=False)
+    dense = False  # each residual reads its edge's two vertices
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges)
@@ -229,14 +244,77 @@ Problem = HandEyeProblem | HandEyeWorldProblem | PoseGraphProblem
 # residuals, objective, gradient
 
 
+class _PairKernel:
+    """The residuals z = (a o x) - (y o b) of one hand-eye family from
+    per-problem matrices, broadcast over the pairs (a, b); y is x for
+    hand-eye.  For x = [q, t], z is linear in the pose blocks but for
+    R(q)^T t_a = [q^T G_j(t_a) q]_j (quaternion.rot_T_forms), so
+
+        z = lin x + [0, q^T G(t_a) q - t_b],    dz/dx = lin + [[0, 0], [2 G(t_a) q, 0]]
+
+    where lin (..., s, 7, 7) is dz/dx with x's translation-by-quaternion
+    block zero, and the second term is in the block of x.  lin is stored
+    laid out (..., 7, s, 7), row-major in the residual components, so that
+    z is one product and the Jacobians are a view of one dense matrix.
+    """
+
+    def __init__(self, lin, a, b):
+        s = lin.shape[-3]
+        self.batch = lin.shape[:-3]
+        self.cols = np.broadcast_to(np.arange(s), self.batch + (s,))
+        self._rows = np.ascontiguousarray(np.swapaxes(lin, -3, -2))
+        self._forms = quat.rot_T_forms(a[..., 4:]).reshape(-1, 4)  # (12 m, 4)
+        self._t_b = b[..., 4:]
+
+    def residuals(self, x) -> np.ndarray:
+        """The (..., 7) residuals at the (s, 7) pose blocks x."""
+        q = x[0, :4]
+        z = (self._rows.reshape(-1, x.size) @ x.ravel()).reshape(self.batch + (7,))
+        z[..., 4:] += (np.reshape(self._forms @ q, (-1, 4)) @ q).reshape(self.batch + (3,))
+        z[..., 4:] -= self._t_b
+        return z
+
+    def jacobian(self, x) -> np.ndarray:
+        """The (..., s, 7, 7) ambient Jacobians dz/dx at x: lin with x's
+        translation-by-quaternion block filled in."""
+        jac = self._rows.copy()
+        jac[..., 4:, 0, :4] = 2.0 * (self._forms @ x[0, :4]).reshape(self.batch + (3, 4))
+        return np.swapaxes(jac, -3, -2)
+
+
+def _pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a and b broadcast alike, and [[L(p_a), 0], [0, I]]: d(a o x)/dx but for
+    its x-dependent block."""
+    a, b = np.broadcast_arrays(quat._trailing(a, 7), quat._trailing(b, 7))
+    return a, b, _jacobian(quat.left_matrix(a[..., :4]), np.zeros((3, 4)), np.eye(3))
+
+
+def _handeye_kernel(a, b) -> _PairKernel:
+    """(a o x) - (x o b) = [(L(p_a) - Rm(p_b)) q, R(q)^T t_a + (I - R(p_b)^T) t - t_b]."""
+    a, b, left = _pairs(a, b)
+    return _PairKernel((left - _compose_jac_left(b))[..., None, :, :], a, b)
+
+
+def _world_kernel(a, b) -> _PairKernel:
+    """(a o x) - (y o b) = [L(p_a) q - Rm(p_b) r, R(q)^T t_a + t - R(p_b)^T s - t_b]
+    for y = [r, s]."""
+    a, b, left = _pairs(a, b)
+    return _PairKernel(np.stack([left, -_compose_jac_left(b)], axis=-3), a, b)
+
+
+def _single_poses(*poses) -> np.ndarray:
+    """(s, 7) pose blocks of single poses."""
+    return np.stack([np.reshape(quat._trailing(p, 7), 7) for p in poses])
+
+
 def residual_handeye(x, a, b) -> np.ndarray:
-    """Ambient residual (a o x) - (x o b)."""
-    return aug.compose(a, x) - aug.compose(x, b)
+    """Ambient residual (a o x) - (x o b) of one pose x, broadcast over the pairs."""
+    return _handeye_kernel(a, b).residuals(_single_poses(x))
 
 
 def residual_handeye_world(x, y, a, b) -> np.ndarray:
-    """Ambient residual (a o x) - (y o b)."""
-    return aug.compose(a, x) - aug.compose(y, b)
+    """Ambient residual (a o x) - (y o b) of one pose x and y each, broadcast over the pairs."""
+    return _world_kernel(a, b).residuals(_single_poses(x, y))
 
 
 def residual_slam(xi, xj, yij) -> np.ndarray:
@@ -430,20 +508,36 @@ def _check_init(problem: Problem, init) -> np.ndarray:
         raise InfeasibleInit(f"infeasible initial guess: {exc}") from None
 
 
-def _normal_equations(problem: Problem, x, z, free) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tangent normal equations of the free blocks: (H (6k, 6k), g (k, 6), bases (k, 4, 3)).
+def _normal_equations(
+    problem: Problem, x, z, free
+) -> tuple[Callable[[], np.ndarray], np.ndarray, np.ndarray]:
+    """Tangent normal equations of the free blocks: (hessian, g (k, 6), bases
+    (k, 4, 3)), where hessian() assembles H (6k, 6k) when a step needs it.
 
-    H and g = J^T W z are summed from the 6x6 blocks J_s^T J_t and J_s^T z
-    of every residual.  Each basis is orthonormal and orthogonal to its
-    quaternion, so |g| is the norm of the projected gradient.
+    J is the sqrt(W)-weighted Jacobian in the tangent bases; each basis is
+    orthonormal and orthogonal to its quaternion, so |g| = |J^T sqrt(W) z|
+    is the norm of the projected gradient.  When every residual reads every
+    block (`problem.dense`), J is one dense (7m, 6k) matrix and g one
+    product; else g is summed from each residual's blocks J_s^T z.
     """
     k = len(free)
-    col = np.full(problem.n_blocks, -1)
-    col[free] = np.arange(k)
     bases = _sphere_basis(x[free, :4])
     sqrt_w = np.sqrt(_component_weights(problem))
     cols, jac = problem.linearize(x)
     z = z * sqrt_w
+    if problem.dense:
+        s = problem.n_blocks
+        # block-diagonal [[basis, 0], [0, I]] of the free blocks; zero at a held block
+        tangent = np.zeros((s, 7, k, 6))
+        tangent[free, :4, np.arange(k), :3] = bases
+        tangent[free, 4:, np.arange(k), 3:] = np.eye(3)
+        # the (7m, 7s) ambient Jacobian times the (7s, 6k) tangent bases, then weighted
+        jt = np.swapaxes(jac, 1, 2).reshape(-1, 7 * s) @ tangent.reshape(7 * s, 6 * k)
+        rows = jt.reshape(len(z), 7, 6 * k)
+        rows *= sqrt_w[:, None]
+        return (lambda: _hessian(jt, None, k)), (z.ravel() @ jt).reshape(k, 6), bases
+    col = np.full(problem.n_blocks, -1)
+    col[free] = np.arange(k)
     # tangent Jacobians (m, s, 7, 6); a gauge block's is zero and adds to column 0
     c = col[cols]
     held = c < 0
@@ -453,13 +547,22 @@ def _normal_equations(problem: Problem, x, z, free) -> tuple[np.ndarray, np.ndar
     jt[..., 3:] = jac[..., 4:]
     jt *= sqrt_w[:, None]
     jt[held] = 0.0
-    # laid out (k, 6, k, 6) so that the 6k x 6k matrix is a view, not a copy
-    hess = np.zeros((k, 6, k, 6))
     grad = np.zeros((k, 6))
     np.add.at(grad, c, np.einsum("msia,mi->msa", jt, z))
+    return (lambda: _hessian(jt, c, k)), grad, bases
+
+
+def _hessian(jt, c, k) -> np.ndarray:
+    """H = J^T J (6k, 6k) of the tangent Jacobian of _normal_equations: one
+    product of the dense (7m, 6k) J when c is None, else the sum of the 6x6
+    blocks J_s^T J_t of the (m, s, 7, 6) residual blocks jt at free columns c."""
+    if c is None:
+        return jt.T @ jt
+    # laid out (k, 6, k, 6) so that the 6k x 6k matrix is a view, not a copy
+    hess = np.zeros((k, 6, k, 6))
     blocks = np.swapaxes(jt, 2, 3)[:, :, None] @ jt[:, None]  # J_s^T J_t, (m, s, s, 6, 6)
     np.add.at(hess, (c[:, :, None], slice(None), c[:, None, :]), blocks)
-    return hess.reshape(6 * k, 6 * k), grad, bases
+    return hess.reshape(6 * k, 6 * k)
 
 
 def _gauss_newton_step(hess, grad) -> np.ndarray:
@@ -478,8 +581,8 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
     x's gauge blocks must be the identity; the step is zero there, so
     every trial point keeps them exactly.
 
-    The normal equations are assembled at x and after each accepted step,
-    which strictly lowers f.  The loop ends before a step once |g| <=
+    g is formed at x and after each accepted step, which strictly lowers
+    f, and H only for a step.  The loop ends before a step once |g| <=
     grad_tol, else when the cap is spent, no halved step lowers f, or the
     relative decrease is at rounding level; the last |g| sets the status.
     """
@@ -487,14 +590,13 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
     if not np.isfinite(f):
         raise NonFiniteObjective("objective is not finite at the initial point")
     free = _free_blocks(problem)
-    hess, grad, bases = _normal_equations(problem, x, z, free)
+    hessian, grad, bases = _normal_equations(problem, x, z, free)
     iterations = 0
     status = STATUS_STALLED
     for _ in range(cfg.max_iters):
         if np.linalg.norm(grad) <= cfg.grad_tol:
             break
-        delta = _gauss_newton_step(hess, grad)
-        del hess  # else two 6k x 6k matrices are alive while the next one is assembled
+        delta = _gauss_newton_step(hessian(), grad)
         if not np.all(np.isfinite(delta)):
             break
         step = np.zeros_like(x)
@@ -512,7 +614,7 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         improvement = f - f_new
         x, z, f = x_new, z_new, f_new
         iterations += 1
-        hess, grad, bases = _normal_equations(problem, x, z, free)
+        hessian, grad, bases = _normal_equations(problem, x, z, free)
         if improvement <= 1e-15 * f:
             break
     else:  # the cap was spent

@@ -10,8 +10,9 @@ and the rotation derived from it maps R(q) t to the vector part of the
 sandwich q [0, t] q* for unit q (active rotation).  Each formula is
 written once: the product in qmul, the cross product in _cross, the
 rotation in rot_apply_T.  The matrices L(p), Rm(q) and T(v) are read off
-qmul and _cross through constant tables, and R(q)^T off rot_apply_T
-applied to the unit vectors.
+qmul and _cross through constant tables, R(q)^T off rot_apply_T
+applied to the unit vectors, and the quadratic forms in q of R(q)^T t
+off rot_apply_T through a constant table too.
 
 One array contract serves the algebra: every entry point here and in
 augmented, dualquat and control reads its arguments through _trailing,
@@ -179,6 +180,22 @@ def rot_apply_T(q, t) -> np.ndarray:
     dot = np.sum(qv * t, axis=-1, keepdims=True)
     scale = q0 * q0 - np.sum(qv * qv, axis=-1, keepdims=True)
     return 2.0 * dot * qv + scale * t - 2.0 * q0 * _cross(qv, t)
+
+
+# Row k holds the forms G_j(e_k) of rot_T_forms, flattened, read off rot_apply_T
+# by polarization, G[a, b] = (Q(e_a + e_b) - Q(e_a - e_b)) / 4 for the quadratic
+# Q(q) = R(q)^T e_k; every argument and entry is a small integer, so exact.
+_E4 = np.eye(4)
+_ROT_T_FORMS = ((rot_apply_T((_E4[:, None] + _E4)[:, :, None], _E3)
+                 - rot_apply_T((_E4[:, None] - _E4)[:, :, None], _E3)) / 4.0
+                ).transpose(2, 3, 0, 1).reshape(3, 48)
+
+
+def rot_T_forms(t) -> np.ndarray:
+    """Symmetric matrices G_j(t), shape (..., 3, 4, 4), with (R(q)^T t)_j =
+    q^T G_j(t) q for every quaternion q, so d(R(q)^T t)/dq has rows 2 G_j(t) q."""
+    t = _trailing(t, 3)
+    return (t @ _ROT_T_FORMS).reshape(t.shape[:-1] + (3, 4, 4))
 
 
 def rot_apply(q, t) -> np.ndarray:

@@ -140,27 +140,32 @@ def test_nonconvergence_exit_code_still_writes(tmp_path):
     assert sol["status"] in ("max_iters", "stalled")
 
 
-def test_noisy_calibration_reports_a_converged_restart(tmp_path):
-    """Restarts 0-2 of this instance stall just above the gradient
-    tolerance, one of them at the lowest objective; restart 3 converges to
-    the same objective up to rounding, ends the solve and is reported."""
+def test_noisy_calibration_reports_a_converged_restart(tmp_path, monkeypatch):
+    """A noisy calibration exits 0 with a converged solution.  When earlier
+    restarts stall, one of them at the lowest objective, the first converged
+    restart ends the solve and is reported, though its objective is higher
+    (by rounding, on real instances)."""
     problem = tmp_path / "n.txt"
     args = ["gen", "--problem", "handeye", "-m", "100", "--seed", "300"]
     noise = ["--rot-noise", "0.01", "--trans-noise", "0.01", "--noise-seed", "0"]
     assert main(args + noise + ["-o", str(problem)]) == 0
     solution = tmp_path / "n.sol"
     assert main(["calibrate", str(problem), "-o", str(solution)]) == 0
-    sol = files.parse_solution(solution)
-    assert sol["status"] == "converged"
-    result = opt.solve(files.parse_problem_file(problem))
-    lowest = min(r.objective for r in result.restarts)
-    assert result.status == opt.STATUS_CONVERGED
-    assert result.objective - lowest <= 1e-12 * lowest
-    assert any(r.status != opt.STATUS_CONVERGED and r.objective == lowest for r in result.restarts)
-    assert len(result.restarts) == 4
-    assert all(r.status != opt.STATUS_CONVERGED for r in result.restarts[:3])
-    assert result.solution is result.restarts[3].solution
+    assert files.parse_solution(solution)["status"] == "converged"
 
+    lowest = 0.25
+    crafted = [(1.0 + 4e-15, opt.STATUS_STALLED), (1.0, opt.STATUS_STALLED),
+               (1.0 + 2e-15, opt.STATUS_MAX_ITERS), (1.0 + 1e-14, opt.STATUS_CONVERGED),
+               (0.5, opt.STATUS_CONVERGED)]
+    records = [opt.RestartRecord(np.array([[1.0, 0, 0, 0, k, 0, 0]]), lowest * f, 1e-9, 10, status)
+               for k, (f, status) in enumerate(crafted)]
+    drawn = iter(records)
+    monkeypatch.setattr(opt, "_descend", lambda *args: next(drawn))
+    assert main(["calibrate", str(problem), "-o", str(solution)]) == 0
+    sol = files.parse_solution(solution)
+    assert (sol["status"], sol["objective"]) == ("converged", records[3].objective)
+    np.testing.assert_array_equal(sol["solution"], records[3].solution)
+    assert next(drawn) is records[4]  # the converged restart ended the solve
 
 
 @pytest.mark.parametrize(
