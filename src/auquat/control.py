@@ -28,12 +28,24 @@ drives xe to the identity.  Two closed-loop integrations are provided:
   the uniform exponential envelope above does not hold for it.
 
 Both share the quaternion slot and differ only in the weight, 1 or 1/2,
-on (we . we) te, so one fixed-step RK4 kernel on the seven error columns
-(p0, p1, p2, p3, t1, t2, t3) serves both and every run.  integrate runs
-it on Python floats and derives theta_e, V, we and the log-branch flag
-from the kept states after the loop; integrate_batch runs the same
-arithmetic on (B,) arrays and derives V from blocks of kept states.
-atan2 is numpy's on both paths, so B = 1 agrees to the last bit.
+on (we . we) te.  Two fixed-step RK4 loops integrate them, each shaped
+to its data and both taking the same floating-point operations in the
+same order on each plant:
+
+* integrate steps one plant as seven Python floats (p0, p1, p2, p3, t1,
+  t2, t3), unrolled, and derives theta_e, V, we and the log-branch flag
+  from the kept states after the loop;
+* integrate_batch steps B plants as one (7, B) array, one plant a
+  column, with the per-plant dot products added row by row, and derives
+  V from blocks of kept states.
+
+One loop cannot serve both: numpy's per-call overhead makes the stacked
+loop cost about twelve times the float loop per step at B = 1, and a
+loop over plants in Python would pay the float loop B times.  atan2 is
+numpy's in both, and the kept states are laid out as integrate keeps
+them before V is derived, so each plant of a batch gets its integrate
+run's V, final state and largest renormalization residual to the last
+bit.
 """
 
 from __future__ import annotations
@@ -41,7 +53,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -180,58 +191,92 @@ def _lyapunov_of(theta, te, weights: LyapunovWeights):
 _WW_WEIGHT = {DYNAMICS_EXPONENTIAL: 1.0, DYNAMICS_TWIST: 0.5}
 
 
-# The kernel's operations beyond + - * / on float and on (B,) array columns;
-# axis_scale is theta / |pv|, 0 where qlog_vec reads the zero rotation:
-# theta >= pi/2 is its p0 <= 0.  math.atan2 differs from np.arctan2 in
-# the last ulp on some inputs, hence numpy's.
-_FLOAT_OPS = SimpleNamespace(
-    sqrt=math.sqrt, atan2=lambda y, x: float(np.arctan2(y, x)),
-    axis_scale=lambda vn, th: (0.0 if vn <= LOG_AXIS_EPS and (vn == 0.0 or th >= np.pi / 2)
-                               else th / vn))
-_ARRAY_OPS = SimpleNamespace(
-    sqrt=np.sqrt, atan2=np.arctan2,
-    axis_scale=lambda vn, th: th / np.where(vn <= np.where(th >= np.pi / 2, LOG_AXIS_EPS, 0.0),
-                                            np.inf, vn))
+_HALF_PI = np.pi / 2
 
 
-def _closed_loop_derivative(xe, kr, kt, ww_weight: float, ops) -> tuple:
-    """Derivative of the closed loop on the seven error columns xe.
+def _float_derivative(kr, kt, ww_weight: float):
+    """The closed loop's derivative on seven Python floats.
 
-    xe, kr and kt are columns of Python floats or of (B,) arrays.  With
-    h = Kr theta_e = -we / 2, both dynamics share the rotation slot
+    kr and kt are the gains as three floats each.  Returns
+    derivative(p0, p1, p2, p3, t1, t2, t3) -> the seven derivative floats.
+    With h = Kr theta_e = -we / 2, both dynamics share the rotation slot
     (1/2) pe [0, we] = [pv . h, h x pv - p0 h]; the translation slot
     -Kt te + (we . te) we - c (we . we) te reads
-    4 (h . te) h - (Kt + 4 c h . h) te with c = ww_weight.
+    4 (h . te) h - (Kt + 4 c h . h) te with c = ww_weight.  The log's
+    scale theta / |pv| is 0 where qlog_vec reads the zero rotation:
+    theta >= pi/2 is its p0 <= 0.  math.atan2 differs from np.arctan2 in
+    the last ulp on some inputs, hence numpy's, as on arrays.
     """
-    p0, p1, p2, p3, t1, t2, t3 = xe
-    vn = ops.sqrt(p1 * p1 + p2 * p2 + p3 * p3)
-    s = ops.axis_scale(vn, ops.atan2(vn, p0))
-    h1, h2, h3 = kr[0] * (p1 * s), kr[1] * (p2 * s), kr[2] * (p3 * s)
-    ht = 4.0 * (h1 * t1 + h2 * t2 + h3 * t3)
-    g = 4.0 * ww_weight * (h1 * h1 + h2 * h2 + h3 * h3)
-    return (
-        p1 * h1 + p2 * h2 + p3 * h3,
-        h2 * p3 - h3 * p2 - p0 * h1,
-        h3 * p1 - h1 * p3 - p0 * h2,
-        h1 * p2 - h2 * p1 - p0 * h3,
-        ht * h1 - (kt[0] + g) * t1,
-        ht * h2 - (kt[1] + g) * t2,
-        ht * h3 - (kt[2] + g) * t3,
-    )
+    kr1, kr2, kr3 = kr
+    kt1, kt2, kt3 = kt
+    g4 = 4.0 * ww_weight
+    sqrt, atan2 = math.sqrt, np.arctan2
+
+    def derivative(p0, p1, p2, p3, t1, t2, t3):
+        vn = sqrt(p1 * p1 + p2 * p2 + p3 * p3)
+        th = float(atan2(vn, p0))
+        s = 0.0 if vn <= LOG_AXIS_EPS and (vn == 0.0 or th >= _HALF_PI) else th / vn
+        h1, h2, h3 = kr1 * (p1 * s), kr2 * (p2 * s), kr3 * (p3 * s)
+        ht = 4.0 * (h1 * t1 + h2 * t2 + h3 * t3)
+        g = g4 * (h1 * h1 + h2 * h2 + h3 * h3)
+        return (
+            p1 * h1 + p2 * h2 + p3 * h3,
+            h2 * p3 - h3 * p2 - p0 * h1,
+            h3 * p1 - h1 * p3 - p0 * h2,
+            h1 * p2 - h2 * p1 - p0 * h3,
+            ht * h1 - (kt1 + g) * t1,
+            ht * h2 - (kt2 + g) * t2,
+            ht * h3 - (kt3 + g) * t3,
+        )
+
+    return derivative
 
 
-def _rk4_step(xe, kr, kt, dt, ww_weight, ops):
-    """One classical RK4 step; returns the renormalized columns and the
-    pre-normalization norm residual."""
-    k1 = _closed_loop_derivative(xe, kr, kt, ww_weight, ops)
-    k2 = _closed_loop_derivative([x + 0.5 * dt * k for x, k in zip(xe, k1)], kr, kt, ww_weight, ops)
-    k3 = _closed_loop_derivative([x + 0.5 * dt * k for x, k in zip(xe, k2)], kr, kt, ww_weight, ops)
-    k4 = _closed_loop_derivative([x + dt * k for x, k in zip(xe, k3)], kr, kt, ww_weight, ops)
-    p0, p1, p2, p3, t1, t2, t3 = [
-        x + dt / 6.0 * (a + d + 2.0 * (b + c)) for x, a, b, c, d in zip(xe, k1, k2, k3, k4)
-    ]
-    norm = ops.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
-    return (p0 / norm, p1 / norm, p2 / norm, p3 / norm, t1, t2, t3), abs(norm - 1.0)
+def _stacked_derivative(kr, kt, ww_weight: float):
+    """The closed loop's derivative on a (7, B) state, one plant a column.
+
+    kr and kt are (3, B) gain rows.  Returns
+    derivative(p0, pv, t, dp0, dpv, dt), which reads the state's rows p0
+    (B,), pv (3, B) and t (3, B) and writes the derivative into the rows
+    dp0, dpv and dt.  Every element takes _float_derivative's operations
+    in the same order: dot products add their three row products left to
+    right, and the cross product h x pv reads row-rolled copies
+    (1, 2, 3, 1, 2) of pv and h.  A division by a zero |pv| is
+    overwritten by the zero rotation's 0; the caller ignores numpy's
+    divide errors.
+    """
+    g4 = 4.0 * ww_weight
+    pr, hr = np.empty((2, 5, kr.shape[1]))  # rows p1 p2 p3 p1 p2 and h1 h2 h3 h1 h2
+    pv, h, prod = pr[:3], hr[:3], np.empty((3, kr.shape[1]))
+    vn, th, s, ht, g = np.empty((5, kr.shape[1]))
+    # views made once, as slicing costs about as much as a small ufunc call:
+    # the rows (2, 3, 1) and (3, 1, 2), and the wrapped rows 4, 5 with their source
+    p231, p312, p_wrap, p_lead = pr[1:4], pr[2:], pr[3:], pr[:2]
+    h231, h312, h_wrap, h_lead = hr[1:4], hr[2:], hr[3:], hr[:2]
+    prod1, prod2, prod3 = prod
+
+    def dot(a, b, out):
+        np.multiply(a, b, out=prod)
+        return np.add(np.add(prod1, prod2, out=out), prod3, out=out)
+
+    def derivative(p0, pvx, t, dp0, dpv, dt):
+        np.copyto(pv, pvx)
+        np.copyto(p_wrap, p_lead)
+        np.sqrt(dot(pv, pv, vn), out=vn)
+        np.divide(np.arctan2(vn, p0, out=th), vn, out=s)
+        if np.fmin.reduce(vn) <= LOG_AXIS_EPS:  # some column may read the zero rotation
+            s[vn <= np.where(th >= _HALF_PI, LOG_AXIS_EPS, 0.0)] = 0.0
+        np.multiply(kr, np.multiply(pv, s, out=h), out=h)
+        np.copyto(h_wrap, h_lead)
+        dot(pv, h, dp0)
+        np.multiply(dot(h, t, ht), 4.0, out=ht)
+        np.multiply(dot(h, h, g), g4, out=g)
+        np.subtract(np.multiply(h231, p312, out=dpv), np.multiply(h312, p231, out=prod), out=dpv)
+        np.subtract(dpv, np.multiply(p0, h, out=prod), out=dpv)
+        np.subtract(np.multiply(ht, h, out=dt), np.multiply(np.add(kt, g, out=prod), t, out=prod),
+                    out=dt)
+
+    return derivative
 
 
 def _start(x0, xd, dt: float, steps: int, dynamics: str):
@@ -246,27 +291,6 @@ def _start(x0, xd, dt: float, steps: int, dynamics: str):
     if not np.all(np.isfinite(xe)):
         raise ValueError("the start error pose x0^-1 o xd is not finite")
     return xe, _WW_WEIGHT[dynamics]
-
-
-def _run(xe, kr, kt, dt, steps, ww_weight, ops, on_step):
-    """The RK4 loop shared by integrate and integrate_batch.
-
-    Calls on_step(i, state, residual) on the start (i = 0) and after each
-    step; raises StepDiverged at the first step whose state is not finite
-    or whose float arithmetic raises where arrays would turn inf or nan.
-    """
-    on_step(0, xe, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, steps + 1):
-            try:
-                xe, residual = _rk4_step(xe, kr, kt, dt, ww_weight, ops)
-                diverged = not np.isfinite(xe).all()
-            except ArithmeticError:
-                diverged = True
-            if diverged:
-                raise StepDiverged(f"non-finite state at step {i}")
-            on_step(i, xe, residual)
-    return xe
 
 
 def integrate(
@@ -285,17 +309,46 @@ def integrate(
     range and, for exponential dynamics, if V rises by more than
     LYAPUNOV_RISE_RTOL in one step: V never rises in exact arithmetic,
     so dt is then past RK4's stability range for the gains.  The loop
-    steps on Python floats and keeps only the states; theta, V, we and
-    the branch flag are derived from them afterwards.
+    steps on seven Python floats and keeps only the states; theta, V, we
+    and the branch flag are derived from them afterwards.
     """
     xe, ww_weight = _start(x0, xd, dt, steps, dynamics)
-    states, renorm = array("d"), array("d")  # flat and compact, unlike lists of tuples
-
-    def keep(i, state, residual):
-        states.extend(state)
-        renorm.append(residual)
-
-    _run(xe.tolist(), gains.kr.tolist(), gains.kt.tolist(), dt, steps, ww_weight, _FLOAT_OPS, keep)
+    f = _float_derivative(gains.kr.tolist(), gains.kt.tolist(), ww_weight)
+    sqrt, isfinite = math.sqrt, math.isfinite
+    half, sixth = 0.5 * dt, dt / 6.0
+    p0, p1, p2, p3, t1, t2, t3 = state = xe.tolist()
+    states, renorm = array("d", state), array("d", [0.0])  # flat and compact
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            try:
+                a0, a1, a2, a3, a4, a5, a6 = f(p0, p1, p2, p3, t1, t2, t3)
+                b0, b1, b2, b3, b4, b5, b6 = f(p0 + half * a0, p1 + half * a1, p2 + half * a2,
+                                               p3 + half * a3, t1 + half * a4, t2 + half * a5,
+                                               t3 + half * a6)
+                c0, c1, c2, c3, c4, c5, c6 = f(p0 + half * b0, p1 + half * b1, p2 + half * b2,
+                                               p3 + half * b3, t1 + half * b4, t2 + half * b5,
+                                               t3 + half * b6)
+                d0, d1, d2, d3, d4, d5, d6 = f(p0 + dt * c0, p1 + dt * c1, p2 + dt * c2,
+                                               p3 + dt * c3, t1 + dt * c4, t2 + dt * c5,
+                                               t3 + dt * c6)
+                p0 = p0 + sixth * (a0 + d0 + 2.0 * (b0 + c0))
+                p1 = p1 + sixth * (a1 + d1 + 2.0 * (b1 + c1))
+                p2 = p2 + sixth * (a2 + d2 + 2.0 * (b2 + c2))
+                p3 = p3 + sixth * (a3 + d3 + 2.0 * (b3 + c3))
+                t1 = t1 + sixth * (a4 + d4 + 2.0 * (b4 + c4))
+                t2 = t2 + sixth * (a5 + d5 + 2.0 * (b5 + c5))
+                t3 = t3 + sixth * (a6 + d6 + 2.0 * (b6 + c6))
+                norm = sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+                p0, p1, p2, p3 = p0 / norm, p1 / norm, p2 / norm, p3 / norm
+            except ArithmeticError:  # floats raise where arrays turn inf or nan
+                raise StepDiverged(f"non-finite state at step {i}") from None
+            state = p0, p1, p2, p3, t1, t2, t3
+            # an inf or nan component makes the sum non-finite; a finite
+            # sum can overflow, so only then is each component checked
+            if not isfinite(p0 + p1 + p2 + p3 + t1 + t2 + t3) and not all(map(isfinite, state)):
+                raise StepDiverged(f"non-finite state at step {i}")
+            states.extend(state)
+            renorm.append(abs(norm - 1.0))
     states = np.frombuffer(states).reshape(steps + 1, 7)
     theta = quat.qlog_vec(states[:, :4])
     te = states[:, 4:].copy()
@@ -332,7 +385,9 @@ def integrate_batch(
     """Integrate a batch of independent closed loops, tracing only V.
 
     x0, xd have shape (B, 7) with B >= 1; kr, kt broadcast to (B, 3).
-    Used by the decay-bound verification.
+    Used by the decay-bound verification.  The loop steps one (7, B)
+    state; V is derived from blocks of kept states laid out as rows of 7,
+    as integrate keeps them, so each plant's V equals its integrate V.
     """
     x0, xd = np.asarray(x0, dtype=float), np.asarray(xd, dtype=float)
     if x0.ndim != 2 or len(x0) < 1 or xd.shape != x0.shape:  # _start checks the 7 columns
@@ -340,19 +395,46 @@ def integrate_batch(
     xe, ww_weight = _start(x0, xd, dt, steps, dynamics)
     kr, kt = (np.broadcast_to(np.asarray(k, dtype=float), (len(xe), 3)) for k in (kr, kt))
     quat._positive_finite("gain entries", kr, kt)
+    f = _stacked_derivative(kr.T.copy(), kt.T.copy(), ww_weight)
 
+    x = xe.T.copy()  # one plant a column
+    p = x[:4]
+    k1, k2, k3, stage = np.empty((4,) + x.shape)
+    # each (7, B) buffer's rows p0, pv and t, as the derivative reads and writes them
+    X, K1, K2, K3, S = ((a[0], a[1:4], a[4:]) for a in (x, k1, k2, k3, stage))
+    sq0, sq1, sq2, sq3 = squares = k2[:4]  # free once k2 is summed in
+    norm = np.empty(len(xe))
     V, max_renorm = np.empty((len(xe), steps + 1)), np.zeros(len(xe))
-    block = np.empty((min(steps + 1, 64), 7, len(xe)))  # states whose V is still to derive
-    err = np.geterr()  # V is derived under the caller's settings, not under _run's
-
-    def keep(i, state, residual):
-        np.maximum(max_renorm, residual, out=max_renorm)
-        j = i % len(block)
-        block[j] = state
-        if j == len(block) - 1 or i == steps:
-            with np.errstate(**err):
-                V[:, i - j : i + 1] = lyapunov(block[: j + 1].transpose(0, 2, 1), weights).T
-
-    columns = _run(tuple(xe.T.copy()), tuple(kr.T.copy()), tuple(kt.T.copy()), dt, steps,
-                   ww_weight, _ARRAY_OPS, keep)
-    return EnsembleResult(V=V, xe_final=np.stack(columns, axis=-1), max_renorm=max_renorm, dt=dt)
+    block = np.empty((min(steps + 1, 64), len(xe), 7))  # states whose V is still to derive
+    half, sixth = 0.5 * dt, dt / 6.0
+    err = np.geterr()  # V is derived under the caller's settings, not under the loop's
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(steps + 1):
+            if i:
+                f(*X, *K1)
+                np.add(x, np.multiply(k1, half, out=stage), out=stage)
+                f(*S, *K2)
+                np.add(x, np.multiply(k2, half, out=stage), out=stage)
+                f(*S, *K3)
+                np.add(x, np.multiply(k3, dt, out=stage), out=stage)
+                np.add(k2, k3, out=k2)
+                f(*S, *K3)  # k4, in k3's place: k2 now holds k2 + k3
+                np.add(np.add(k1, k3, out=k1), np.multiply(k2, 2.0, out=k2), out=k1)
+                np.add(x, np.multiply(k1, sixth, out=k1), out=x)
+                np.multiply(p, p, out=squares)
+                np.sqrt(np.add(np.add(np.add(sq0, sq1, out=norm), sq2, out=norm), sq3, out=norm),
+                        out=norm)
+                np.divide(p, norm, out=p)
+                np.maximum(max_renorm, np.abs(np.subtract(norm, 1.0, out=norm), out=norm),
+                           out=max_renorm)
+            j = i % len(block)
+            block[j] = x.T
+            if j == len(block) - 1 or i == steps:
+                # the first non-finite kept state is the diverged step
+                bad = np.flatnonzero(~np.isfinite(block[: j + 1]).all(axis=(1, 2)))
+                if bad.size:
+                    raise StepDiverged(f"non-finite state at step {i - j + bad[0]}")
+                with np.errstate(**err):
+                    V[:, i - j : i + 1] = lyapunov(block[: j + 1].reshape(-1, 7),
+                                                   weights).reshape(j + 1, -1).T
+    return EnsembleResult(V=V, xe_final=x.T.copy(), max_renorm=max_renorm, dt=dt)

@@ -5,7 +5,7 @@ here, once.  No function takes a tolerance parameter, so no call can
 override one; change a value here rather than writing a literal into the
 code.  Every algebraic identity is checked against ALGEBRA_ATOL.  Every
 rotation angle is read off the quaternion logarithm (qlog_vec, or the
-same rule in the simulator's RK4 kernel), so LOG_AXIS_EPS is the one
+same rule in the simulator's two RK4 loops), so LOG_AXIS_EPS is the one
 zero test on a rotation.  The solver's stopping rule is a setting
 (SolverConfig.grad_tol), not a check.
 """

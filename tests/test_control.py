@@ -1,5 +1,5 @@
+import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,22 +279,29 @@ _START_ROTATIONS = {
 
 
 def test_single_trace_matches_batch():
-    # integrate steps on Python floats, integrate_batch on (1,) arrays:
-    # the same arithmetic must give the same bits
-    for dynamics in (ctl.DYNAMICS_EXPONENTIAL, ctl.DYNAMICS_TWIST):
-        for start, rotation in _START_ROTATIONS.items():
-            rng = np.random.default_rng(3)
-            x0, xd = _rand_auq(rng=rng), _rand_auq(rng=rng)
+    # integrate steps on Python floats, integrate_batch on a (7, B) array:
+    # each plant of a batch must get its own integrate run's bits, V included
+    rotations = list(_START_ROTATIONS.values())
+    cases = [(plants, dynamics, first)
+             for dynamics in (ctl.DYNAMICS_EXPONENTIAL, ctl.DYNAMICS_TWIST)
+             for plants in (1, 3, 17)
+             for first in range(len(rotations) if plants < len(rotations) else 1)]
+    for plants, dynamics, first in cases:
+        rng = np.random.default_rng(3 + first)
+        x0, xd = _rand_auq(plants, rng), _rand_auq(plants, rng)
+        kr, kt = rng.uniform(0.2, 2.0, (2, plants, 3))
+        for b in range(plants):
+            rotation = rotations[(first + b) % len(rotations)]
             if rotation is not None:
-                x0, xd[:4] = aug.IDENTITY, rotation
-            gains = _rand_gains(rng)
-            trace = ctl.integrate(x0, xd, gains, 1e-3, 200, dynamics=dynamics)
-            res = ctl.integrate_batch(
-                x0[None], xd[None], gains.kr[None], gains.kt[None], 1e-3, 200, dynamics=dynamics
-            )
-            case = f"{start} start, {dynamics} dynamics"
-            np.testing.assert_allclose(trace.V, res.V[0], atol=0, err_msg=case)
-            np.testing.assert_allclose(trace.xe[-1], res.xe_final[0], atol=0, err_msg=case)
+                x0[b], xd[b, :4] = aug.IDENTITY, rotation
+        res = ctl.integrate_batch(x0, xd, kr, kt, 1e-3, 200, dynamics=dynamics)
+        for b in range(plants):
+            trace = ctl.integrate(x0[b], xd[b], ctl.Gains(kr[b], kt[b]), 1e-3, 200,
+                                  dynamics=dynamics)
+            case = f"plant {b} of {plants}, first start {first}, {dynamics} dynamics"
+            np.testing.assert_array_equal(res.V[b], trace.V, err_msg=case)
+            np.testing.assert_array_equal(res.xe_final[b], trace.xe[-1], err_msg=case)
+            assert res.max_renorm[b] == trace.renorm.max(), case
 
 
 def test_single_plant_kernel_runs_on_floats(monkeypatch):
@@ -318,10 +325,12 @@ def test_single_plant_kernel_runs_on_floats(monkeypatch):
 
 
 def test_a_nan_rotation_error_is_not_the_zero_rotation():
-    # V of a NaN quaternion must be NaN, and so must each kernel's log scale
+    # V of a NaN quaternion must be NaN, and so must each kernel's log
+    # scale: a zero scale would leave the translation slot -Kt te finite
     assert np.isnan(ctl.lyapunov(np.array([np.nan] * 4 + [0.0] * 3)))
-    for ops in (ctl._FLOAT_OPS, ctl._ARRAY_OPS):
-        assert np.isnan(ops.axis_scale(np.nan, np.nan))
+    xe = np.array([[np.nan] * 4 + [0.5, -0.3, 0.2]])
+    for got in _kernel_derivatives(xe, np.ones((1, 3)), np.ones((1, 3))):
+        assert np.all(np.isnan(got))
 
 
 @pytest.mark.parametrize("p0", [1.0, -1.0])
@@ -332,8 +341,10 @@ def test_kernel_log_reads_the_zero_rotation_where_qlog_vec_does(p0, vn):
     zero = vn == 0.0 or (p0 < 0.0 and vn <= 1e-14)
     expected = 0.0 if zero else vn * (np.arctan2(vn, p0) / vn)
     assert qt.qlog_vec([p0, vn, 0.0, 0.0])[0] == expected
-    for ops in (ctl._FLOAT_OPS, ctl._ARRAY_OPS):
-        assert vn * ops.axis_scale(vn, ops.atan2(vn, p0)) == expected
+    # with Kr = I and te = 0 the kernels' p1 slot is -p0 h1, h1 the log's first entry
+    xe = np.array([[p0, vn, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    for got in _kernel_derivatives(xe, np.ones((1, 3)), np.ones((1, 3))):
+        assert -p0 * got[0, 1] == expected
 
 
 def test_a_nan_scalar_part_is_not_the_zero_rotation():
@@ -451,14 +462,12 @@ def test_batch_lyapunov_overflow_warns():
         ctl.integrate_batch(aug.IDENTITY[None], xd[None], np.ones(3), np.ones(3), 1e-3, 3)
 
 
-def test_float_arithmetic_error_is_a_diverged_step():
+def test_float_arithmetic_error_is_a_diverged_step(monkeypatch):
     # Python floats raise ZeroDivisionError where arrays give nan: here a
     # square root stubbed to 0 makes the renormalization norm 0
-    ops = SimpleNamespace(sqrt=lambda x: 0.0 * x, atan2=ctl._FLOAT_OPS.atan2,
-                          axis_scale=ctl._FLOAT_OPS.axis_scale)
-    xe = tuple(_rand_auq().tolist())
+    monkeypatch.setattr(math, "sqrt", lambda x: 0.0 * x)
     with pytest.raises(StepDiverged, match="non-finite state at step 1$"):
-        ctl._run(xe, (1.0,) * 3, (1.0,) * 3, 1e-3, 5, 1.0, ops, lambda *args: None)
+        ctl.integrate(_rand_auq(), _rand_auq(), _rand_gains(), 1e-3, 5)
 
 
 def test_integrate_rejects_bad_dt():
@@ -510,34 +519,41 @@ def _assert_matches(got, want):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(1.0, np.abs(want).max()))
 
 
+def _kernel_derivatives(xe, kr, kt, dynamics=ctl.DYNAMICS_EXPONENTIAL):
+    """The closed-loop derivative at each row of xe from the float
+    kernel, row by row, and from the stacked kernel, all rows at once."""
+    ww_weight = ctl._WW_WEIGHT[dynamics]
+    floats = np.array([
+        ctl._float_derivative(r.tolist(), k.tolist(), ww_weight)(*row.tolist())
+        for row, r, k in zip(xe, kr, kt)
+    ])
+    x, out = xe.T.copy(), np.empty(xe.T.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ctl._stacked_derivative(kr.T.copy(), kt.T.copy(), ww_weight)(
+            x[0], x[1:4], x[4:], out[0], out[1:4], out[4:]
+        )
+    return floats, out.T
+
+
 def test_kernel_derivative_matches_group_ode():
     xe, kr, kt = _kernel_states(np.random.default_rng(11))
-    got = np.stack(
-        ctl._closed_loop_derivative(
-            tuple(xe.T), tuple(kr.T), tuple(kt.T), ctl._WW_WEIGHT[ctl.DYNAMICS_TWIST], ctl._ARRAY_OPS
-        ),
-        axis=-1,
-    )
+    floats, stacked = _kernel_derivatives(xe, kr, kt, ctl.DYNAMICS_TWIST)
+    np.testing.assert_array_equal(floats, stacked)
     for b in range(len(xe)):
         xi = ctl.proportional_control(xe[b], ctl.Gains(kr[b], kt[b]))
-        _assert_matches(got[b], ctl.state_derivative(xe[b], xi))
+        _assert_matches(stacked[b], ctl.state_derivative(xe[b], xi))
 
 
 def test_kernel_derivative_matches_exponential_closed_form():
     xe, kr, kt = _kernel_states(np.random.default_rng(12))
-    got = np.stack(
-        ctl._closed_loop_derivative(
-            tuple(xe.T), tuple(kr.T), tuple(kt.T), ctl._WW_WEIGHT[ctl.DYNAMICS_EXPONENTIAL],
-            ctl._ARRAY_OPS,
-        ),
-        axis=-1,
-    )
+    floats, stacked = _kernel_derivatives(xe, kr, kt, ctl.DYNAMICS_EXPONENTIAL)
+    np.testing.assert_array_equal(floats, stacked)
     p, t = xe[:, :4], xe[:, 4:]
     w = -2.0 * kr * qt.qlog_vec(p)
     wt = np.sum(w * t, axis=-1, keepdims=True)
     ww = np.sum(w * w, axis=-1, keepdims=True)
-    _assert_matches(got[:, :4], 0.5 * qt.qmul(p, qt.vector_quat(w)))
-    _assert_matches(got[:, 4:], -kt * t + wt * w - ww * t)
+    _assert_matches(stacked[:, :4], 0.5 * qt.qmul(p, qt.vector_quat(w)))
+    _assert_matches(stacked[:, 4:], -kt * t + wt * w - ww * t)
 
 
 def test_trace_columns_match_per_row_definitions():
@@ -594,3 +610,43 @@ def test_kernel_matches_per_step_integrator(dynamics):
     xes, renorm = _per_step_integrate(x0, xd, gains, 1e-3, 2000, dynamics)
     np.testing.assert_allclose(trace.xe, xes, rtol=0, atol=1e-10)
     np.testing.assert_allclose(trace.renorm, renorm, rtol=0, atol=1e-14)
+
+
+def _isotropic_exact(xd, kr, kt, dynamics, t):
+    # the closed loop from the identity toward xd under gains kr I, kt I: the
+    # axis u stays fixed and the half-angle decays as phi0 exp(-kr t); te's
+    # parts along and normal to u scale by exp(-kt t + 4 (1 - c) I(t)) and
+    # exp(-kt t - 4 c I(t)), I(t) = kr phi0^2 (1 - exp(-2 kr t)) / 2
+    c = ctl._WW_WEIGHT[dynamics]
+    phi0 = np.arctan2(np.linalg.norm(xd[1:4]), xd[0])
+    u, te0 = xd[1:4] / np.sin(phi0), xd[4:]
+    phi = phi0 * np.exp(-kr * t)
+    integral = kr * phi0**2 * (1.0 - np.exp(-2.0 * kr * t)) / 2.0
+    along = (te0 @ u) * u
+    te = (along * np.exp(-kt * t + 4.0 * (1.0 - c) * integral)
+          + (te0 - along) * np.exp(-kt * t - 4.0 * c * integral))
+    return np.concatenate([[np.cos(phi)], np.sin(phi) * u, te])
+
+
+@pytest.mark.parametrize("dynamics", [ctl.DYNAMICS_EXPONENTIAL, ctl.DYNAMICS_TWIST])
+def test_both_loops_converge_at_rk4_order_to_the_exact_solution(dynamics):
+    # halving dt must cut the final error about 16-fold: an error shared by
+    # both loops, which the bit-equality tests cannot see, breaks the order
+    T, kr, kt, phi0 = 3.0, 1.3, 0.7, 1.78
+    rng = np.random.default_rng(13)
+    u = rng.standard_normal((3, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    xd = np.concatenate([np.cos(phi0) * np.ones((3, 1)), np.sin(phi0) * u,
+                         rng.uniform(-1.0, 1.0, (3, 3))], axis=1)
+    x0 = np.tile(aug.IDENTITY, (3, 1))
+    exact = np.array([_isotropic_exact(row, kr, kt, dynamics, T) for row in xd])
+    single, batch = [], []
+    for dt in (0.1, 0.05, 0.025, 0.0125):
+        steps = round(T / dt)
+        trace = ctl.integrate(x0[0], xd[0], ctl.Gains([kr] * 3, [kt] * 3), dt, steps,
+                              dynamics=dynamics)
+        single.append(np.abs(trace.xe[-1] - exact[0]).max())
+        res = ctl.integrate_batch(x0, xd, kr, kt, dt, steps, dynamics=dynamics)
+        batch.append(np.abs(res.xe_final - exact).max())
+    for errors in (single, batch):
+        assert abs(np.log2(errors[-2] / errors[-1]) - 4.0) <= 0.3, errors
