@@ -59,16 +59,17 @@ def _write(path, lines) -> None:
 def _records(path, layouts):
     """Yield (line_number, keyword, indices, values) per content line.  A
     record needs a keyword of `layouts`, the field count of one of its forms,
-    nonnegative integer indices and float values, else its line is named."""
+    nonnegative integer indices and float values (a list), else its line is named."""
+    forms_of = {kw: {i + v: i for i, v in forms} for kw, forms in layouts.items()}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.split("#", 1)[0].replace(",", " ").split()
             if not parts:
                 continue
             keyword, fields = parts[0].upper(), parts[1:]
-            if keyword not in layouts:
+            forms = forms_of.get(keyword)
+            if forms is None:
                 raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
-            forms = {n_index + n_value: n_index for n_index, n_value in layouts[keyword]}
             if len(fields) not in forms:
                 counts = " or ".join(map(str, forms))
                 noun = "field" if counts == "1" else "fields"
@@ -82,15 +83,15 @@ def _records(path, layouts):
             values = fields[n_index:]
             if keyword != "STATUS":
                 try:
-                    values = np.array([float(p) for p in values])
+                    values = list(map(float, values))
                 except ValueError as exc:
                     raise ParseError(str(exc), path, line_no) from exc
             yield line_no, keyword, indices, values
 
 
-def _by_index(rows, path) -> dict[int, np.ndarray]:
+def _by_index(rows, path) -> dict[int, list[float]]:
     """Collect (index, pose, line_number) rows by index, each index once."""
-    poses: dict[int, np.ndarray] = {}
+    poses: dict[int, list[float]] = {}
     for i, pose, line_no in rows:
         if i in poses:
             raise ParseError(f"pose index {i} is repeated", path, line_no)
@@ -122,10 +123,10 @@ def parse_problem_file(path, world: bool = False) -> Problem:
     """Parse a problem file; PAIR files yield the hand-eye problem, or the
     two-unknown variant when world=True."""
     sigma, sigma_line = 1.0, None
-    pairs: list[np.ndarray] = []
+    pairs: list[list[float]] = []
     edges: list[list[int]] = []
-    measurements: list[np.ndarray] = []
-    vertex_rows: list[tuple[int, np.ndarray, int]] = []
+    measurements: list[list[float]] = []
+    vertex_rows: list[tuple[int, list[float], int]] = []
     for line_no, keyword, indices, values in _records(path, _PROBLEM):
         if keyword == "SIGMA":
             if not 0.0 < values[0] < np.inf:
@@ -177,7 +178,7 @@ def _raise_first_bad_record(path) -> None:
             if keyword == "EDGE" and indices[0] == indices[1]:
                 raise ValueError("self loops are not allowed")
             if keyword != "SIGMA":
-                aug.as_auq(values.reshape(-1, 7))
+                aug.as_auq(np.reshape(values, (-1, 7)))
         except ValueError as exc:
             raise ParseError(str(exc), path, line_no) from None
 
@@ -211,7 +212,7 @@ def write_solution(path, result: SolveResult, problem: Problem) -> None:
 
 def parse_solution(path) -> dict:
     status = objective = None
-    rows: list[tuple[int, np.ndarray, int]] = []
+    rows: list[tuple[int, list[float], int]] = []
     for line_no, keyword, indices, values in _records(path, _SOLUTION):
         if keyword == "STATUS":
             status = values[0]

@@ -6,6 +6,7 @@ ambient 7-vector difference of two composed poses:
     hand-eye            z_i  = (a_i o x) - (x o b_i)
     hand-eye + world    z_i  = (a_i o x) - (y o b_i)
     pose graph          z_ij = (x_i^-1 o x_j) - y_ij
+                             = [w, t_j - R(w)^T t_i] - y_ij,   w = q_i* q_j
 
 and the objective is (1/2) sum |z|_sigma^2 with the sigma-weighted
 magnitude (translation components weighted by sigma).  The feasible set
@@ -13,29 +14,36 @@ is a product of unit 3-spheres (one per pose block) times R^3 factors.
 
 Each problem class is its own kernel, which the solver reads only
 through `residuals(x)`, the (m, 7) residuals z at the (n, 7) pose blocks
-x; `linearize(x)`, the (m, s) blocks `cols` each residual depends on and
-the (m, s, 7, 7) ambient Jacobians dz/dx[cols] (s = 1 for hand-eye, 2
-otherwise); `dense`, true when every residual depends on every block;
-`gauge`, the blocks held at the identity; and `initial_guess()`
-(identity blocks; for pose graphs `initial`, or else a spanning-forest
-chaining of the measurements).  The gradient J^T W z and the
-Gauss-Newton step both read `linearize`.
+x; `normal_equations(x, z)`, at x for the k blocks not held, a thunk for
+H (6k, 6k), which only a step calls, g (k, 6), and the orthonormal
+tangent bases (k, 4, 3) they are written in (so |g| is the norm of the
+projected gradient); `gauge`, the blocks held at the identity; and
+`initial_guess()` (identity blocks; for pose graphs `initial`, or else a
+spanning-forest chaining of the measurements).
+`gradient()` reads `linearize(x)`: the (m, s) blocks `cols` each
+residual depends on and the (m, s, 7, 7) ambient Jacobians dz/dx[cols].
 
 A hand-eye residual is linear in the pose blocks but for R(q)^T t_a, q
 the quaternion of x, so each hand-eye problem forms the matrices of its
 pairs once (L(a) - Rm(b) and I - R(b)^T; for the world problem L(a),
 Rm(b) and R(b)^T): `residuals` is a few batched products, and
-`linearize` fills in only the 3x4 block d(R(q)^T t_a)/dq.
+`linearize` fills in only the 3x4 block d(R(q)^T t_a)/dq.  The tangent
+Jacobian, in the Householder bases of `_sphere_basis`, is one dense
+(7m, 6s) matrix, so H and g are one product each.
+
+A pose-graph residual takes one quaternion product and no inverse, and
+its tangent blocks are closed-form (`_slam_blocks`) in the
+right-perturbation bases L(p)[:, 1:] (p [0, e_k] for the quaternion p;
+Sola, Deray and Atchuthan, 2018).  g and H are summed from them at
+positions fixed per problem; `linearize` reads the ambient Jacobian off
+the same blocks.
 
 Each restart is one tangent-space Gauss-Newton loop.  It evaluates each
-point once, and forms the tangent gradient g from the residuals of the
-point it accepts.  Before each step it tests |g|, so a converged start
-takes no step, and only a step assembles H.  For a dense problem the
-tangent Jacobian is one (7m, 6k) matrix, and H and g are one product
-each; otherwise they are summed from the 6x6 tangent blocks of every
-residual.  Steps (minimum-norm least squares only for a singular
-system) are halved until the objective falls and retracted by
-renormalizing every quaternion block.
+point once, and has g assembled from the residuals of the point it
+accepts.  Before each step it tests |g|, so a converged start takes no
+step, and only a step assembles H.  Steps (minimum-norm least squares
+only for a singular system) are halved until the objective falls and
+retracted by renormalizing every quaternion block.
 
 A pose graph's objective is invariant under a left translation of each
 weakly connected component, so its gauge is the lowest vertex of every
@@ -91,7 +99,6 @@ class HandEyeProblem:
     sigma: float = 1.0
     n_blocks = 1
     gauge = np.zeros(0, dtype=int)  # no held blocks
-    dense = True  # every residual reads every block
 
     def __post_init__(self):
         self.a = _unit_blocks(self.a, "a")
@@ -111,6 +118,22 @@ class HandEyeProblem:
 
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self._kernel.cols, self._kernel.jacobian(x)
+
+    def normal_equations(self, x, z) -> tuple[Callable[[], np.ndarray], np.ndarray, np.ndarray]:
+        """The sqrt(W)-weighted tangent Jacobian J is one dense (7m, 6s)
+        matrix, so H and g are one product each."""
+        s = self.n_blocks
+        bases = _sphere_basis(x[:, :4])
+        sqrt_w = np.sqrt(_component_weights(self))
+        _, jac = self.linearize(x)
+        # the (7m, 7s) ambient Jacobian times the block-diagonal [[basis, 0], [0, I]], weighted
+        tangent = np.zeros((s, 7, s, 6))
+        tangent[np.arange(s), :4, np.arange(s), :3] = bases
+        tangent[np.arange(s), 4:, np.arange(s), 3:] = np.eye(3)
+        jt = np.swapaxes(jac, 1, 2).reshape(-1, 7 * s) @ tangent.reshape(7 * s, 6 * s)
+        rows = jt.reshape(len(z), 7, 6 * s)
+        rows *= sqrt_w[:, None]
+        return (lambda: jt.T @ jt), ((z * sqrt_w).ravel() @ jt).reshape(s, 6), bases
 
     def initial_guess(self) -> np.ndarray:
         return np.tile(aug.identity(), (self.n_blocks, 1))
@@ -147,7 +170,6 @@ class PoseGraphProblem:
     sigma: float = 1.0
     initial: np.ndarray | None = None
     n: int = field(init=False)
-    dense = False  # each residual reads its edge's two vertices
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges)
@@ -208,10 +230,40 @@ class PoseGraphProblem:
         return residual_slam(x[self.edges[:, 0]], x[self.edges[:, 1]], self.measurements)
 
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The ambient Jacobians from the tangent blocks J_tan.  z_ij is
+        homogeneous in each quaternion block p, of degree 1 in its rotation and
+        2 in its translation, so dz/dp p = r = [w, -2u]; L(p) = [p, B] with
+        L(p) L(p)^T = |p|^2 I then gives dz/dp = [r, J_tan] L(p)^T / |p|^2."""
         xi, xj = x[self.edges[:, 0]], x[self.edges[:, 1]]
-        jac = np.stack([_compose_jac_left(xj) @ _auq_inverse_jac(xi),
-                        _compose_jac_right(aug.auq_inverse(xi), xj)], axis=1)
+        w, *_, u = kernel = _slam_kernel(xi, xj)
+        jac = np.empty((len(w), 2, 7, 7))
+        jac[..., 1:] = _slam_blocks(xi[:, 4:], *kernel)
+        jac[..., 0] = np.concatenate([w, -2.0 * u], axis=-1)[:, None]
+        p = np.stack([xi[:, :4], xj[:, :4]], axis=1)
+        jac[..., :4] = (jac[..., :4] @ np.swapaxes(quat.left_matrix(p), -1, -2)
+                        / np.sum(p * p, axis=-1)[..., None, None])
         return self.edges, jac
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The free blocks, and the (m, 2, 6) rows of g (and of H) that the
+        tangent blocks of each edge go to; a held block's go to a spare block."""
+        free = _free_blocks(self)
+        col = np.full(self.n, len(free))
+        col[free] = np.arange(len(free))
+        return free, 6 * col[self.edges][..., None] + np.arange(6)
+
+    def normal_equations(self, x, z) -> tuple[Callable[[], np.ndarray], np.ndarray, np.ndarray]:
+        """g and H summed from the 6x6 tangent blocks of every edge, in the
+        bases L(p)[:, 1:] of the free blocks (right perturbations p [0, e_k])."""
+        free, slots = self._slots
+        k, sqrt_w = len(free), np.sqrt(_component_weights(self))
+        xi = x[self.edges[:, 0]]
+        jt = _slam_blocks(xi[:, 4:], *_slam_kernel(xi, x[self.edges[:, 1]]))
+        jt *= sqrt_w[:, None]
+        grad = np.bincount(slots.ravel(), ((z * sqrt_w)[:, None, None, :] @ jt).ravel(), 6 * k + 6)
+        bases = quat.left_matrix(x[free, :4])[..., 1:]
+        return (lambda: _hessian(jt, slots, k)), grad[:-6].reshape(k, 6), bases
 
     @cached_property
     def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -282,11 +334,26 @@ class _PairKernel:
         return np.swapaxes(jac, -3, -2)
 
 
+def _jacobian(qq, tt) -> np.ndarray:
+    """The (..., 7, 7) Jacobian [[qq, 0], [0, tt]] of a map [p, t] -> [p', t']
+    whose p' and t' depend on p and t alone, broadcast over the blocks."""
+    out = np.zeros(np.broadcast_shapes(qq.shape[:-2], tt.shape[:-2]) + (7, 7))
+    out[..., :4, :4] = qq
+    out[..., 4:, 4:] = tt
+    return out
+
+
+def _compose_jac_left(y) -> np.ndarray:
+    """d compose(x, y) / d x = [[Rm(q), 0], [0, R(q)^T]] for y = [q, u]."""
+    q = np.asarray(y, dtype=float)[..., :4]
+    return _jacobian(quat.right_matrix(q), quat.rot_matrix_T(q))
+
+
 def _pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """a and b broadcast alike, and [[L(p_a), 0], [0, I]]: d(a o x)/dx but for
     its x-dependent block."""
     a, b = np.broadcast_arrays(quat._trailing(a, 7), quat._trailing(b, 7))
-    return a, b, _jacobian(quat.left_matrix(a[..., :4]), np.zeros((3, 4)), np.eye(3))
+    return a, b, _jacobian(quat.left_matrix(a[..., :4]), np.eye(3))
 
 
 def _handeye_kernel(a, b) -> _PairKernel:
@@ -317,13 +384,54 @@ def residual_handeye_world(x, y, a, b) -> np.ndarray:
     return _world_kernel(a, b).residuals(_single_poses(x, y))
 
 
+def _slam_kernel(xi, xj) -> tuple[np.ndarray, ...]:
+    """w = q_i* q_j = L(q_i)^T q_j, L(w), Rm(w), R(w)^T (of t -> w* [0, t] w,
+    so a block of L(w)^T Rm(w)) and u = R(w)^T t_i of the poses x_i =
+    [q_i, t_i] and x_j: x_i^-1 o x_j = [w, t_j - u] with no inverse."""
+    w = (np.swapaxes(quat.left_matrix(xi[..., :4]), -1, -2) @ xj[..., :4, None])[..., 0]
+    left, right = quat.left_matrix(w), quat.right_matrix(w)
+    rot_t = (np.swapaxes(left, -1, -2) @ right)[..., 1:, 1:]
+    return w, left, right, rot_t, (rot_t @ xi[..., 4:, None])[..., 0]
+
+
+def _slam_blocks(ti, w, left, right, rot_t, u) -> np.ndarray:
+    """The (..., 2, 7, 6) Jacobians of z_ij in x_i and x_j along the tangent
+    bases [[L(p)[:, 1:], 0], [0, I]], T = quaternion.cross_matrix:
+
+        x_i: [[-Rm(w)[:, 1:], 0], [-2 R(w)^T T(t_i), -R(w)^T]]
+        x_j: [[ L(w)[:, 1:],  0], [ 2 T(u),           I     ]]
+
+    as the perturbation p [0, e_k] of q_i or q_j moves w by -[0, e_k] w or
+    w [0, e_k], and u by 2 R(w)^T (e_k x t_i) or 2 u x e_k."""
+    jt = np.zeros(w.shape[:-1] + (2, 7, 6))
+    jt[..., 0, :4, :3] = -right[..., 1:]
+    jt[..., 0, 4:, :3] = -2.0 * rot_t @ quat.cross_matrix(ti)
+    jt[..., 0, 4:, 3:] = -rot_t
+    jt[..., 1, :4, :3] = left[..., 1:]
+    jt[..., 1, 4:, :3] = 2.0 * quat.cross_matrix(u)
+    jt[..., 1, 4:, 3:] = np.eye(3)
+    return jt
+
+
+def _hessian(jt, slots, k) -> np.ndarray:
+    """A pose graph's H (6k, 6k): the products J_s^T J_t of the (m, 2, 7, 6)
+    tangent blocks jt summed at the rows `slots` (PoseGraphProblem._slots)
+    and their columns, the spare block cut off."""
+    n = 6 * k + 6
+    blocks = np.swapaxes(jt, 2, 3)[:, :, None] @ jt[:, None]  # (m, 2, 2, 6, 6)
+    at = n * slots[:, :, None, :, None] + slots[:, None, :, None, :]
+    return np.bincount(at.ravel(), blocks.ravel(), n * n).reshape(n, n)[:-6, :-6]
+
+
 def residual_slam(xi, xj, yij) -> np.ndarray:
-    """Ambient residual (xi^-1 o xj) - yij.
+    """Ambient residual (xi^-1 o xj) - yij = [w, t_j - R(w)^T t_i] - yij, w = q_i* q_j.
 
     Invariant under a common left factor on xi and xj, which is the
     gauge freedom resolved by holding vertex 0.
     """
-    return aug.compose(aug.auq_inverse(xi), xj) - np.asarray(yij, dtype=float)
+    xi, xj = quat._trailing(xi, 7), quat._trailing(xj, 7)
+    w, *_, u = _slam_kernel(xi, xj)
+    return np.concatenate([w, xj[..., 4:] - u], axis=-1) - np.asarray(yij, dtype=float)
 
 
 def _as_blocks(problem: Problem, x) -> np.ndarray:
@@ -383,61 +491,6 @@ def pose_error(x, x_true) -> tuple[np.ndarray | float, np.ndarray | float]:
     if rot.ndim == 0:
         return float(rot), float(trans)
     return rot, trans
-
-
-# ---------------------------------------------------------------------------
-# jacobian blocks (ambient, 7x7 per residual)
-
-
-def _jacobian(qq, tq, tt) -> np.ndarray:
-    """The (..., 7, 7) Jacobian [[qq, 0], [tq, tt]] of a map [p, t] -> [p', t']
-    whose p' depends on p alone, broadcast over the blocks' batch shapes."""
-    batch = np.broadcast_shapes(qq.shape[:-2], tq.shape[:-2], tt.shape[:-2])
-    out = np.zeros(batch + (7, 7))
-    out[..., :4, :4] = qq
-    out[..., 4:, :4] = tq
-    out[..., 4:, 4:] = tt
-    return out
-
-
-def _d_rot_dq(p, t) -> np.ndarray:
-    """Derivative of R(p) t with respect to p, shape (..., 3, 4)."""
-    p0, pv = p[..., 0:1], p[..., 1:]
-    col0 = 2.0 * p0 * t + 2.0 * quat._cross(pv, t)
-    dot = np.sum(pv * t, axis=-1)[..., None, None]
-    eye = np.eye(3)
-    cols = (
-        2.0 * pv[..., :, None] * t[..., None, :]
-        + 2.0 * dot * eye
-        - 2.0 * t[..., :, None] * pv[..., None, :]
-        + 2.0 * p0[..., None] * quat.cross_matrix(t)
-    )
-    return np.concatenate([col0[..., :, None], cols], axis=-1)
-
-
-def _compose_jac_left(y) -> np.ndarray:
-    """d compose(x, y) / d x = [[Rm(q), 0], [0, R(q)^T]] for y = [q, u]."""
-    q = np.asarray(y, dtype=float)[..., :4]
-    return _jacobian(quat.right_matrix(q), np.zeros((3, 4)), quat.rot_matrix_T(q))
-
-
-def _compose_jac_right(x, y) -> np.ndarray:
-    """d compose(x, y) / d y = [[L(p), 0], [d(R(q)^T t)/dq, I]] for x = [p, t].
-
-    R(q)^T t = R(q*) t, so its q-derivative is that of R at q* with the
-    last three columns negated (qconj of each row); both steps are exact.
-    """
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(y, dtype=float)[..., :4]
-    d_dq = quat.qconj(_d_rot_dq(quat.qconj(q), x[..., 4:]))
-    return _jacobian(quat.left_matrix(x[..., :4]), d_dq, np.eye(3))
-
-
-def _auq_inverse_jac(x) -> np.ndarray:
-    """d [p*, -R(p) t] / d [p, t] = [[diag(1, -1, -1, -1), 0], [-d(R(p) t)/dp, -R(p)]]."""
-    x = np.asarray(x, dtype=float)
-    p, t = x[..., :4], x[..., 4:]
-    return _jacobian(np.diag(quat.qconj(np.ones(4))), -_d_rot_dq(p, t), -quat.rot_matrix(p))
 
 
 # ---------------------------------------------------------------------------
@@ -508,63 +561,6 @@ def _check_init(problem: Problem, init) -> np.ndarray:
         raise InfeasibleInit(f"infeasible initial guess: {exc}") from None
 
 
-def _normal_equations(
-    problem: Problem, x, z, free
-) -> tuple[Callable[[], np.ndarray], np.ndarray, np.ndarray]:
-    """Tangent normal equations of the free blocks: (hessian, g (k, 6), bases
-    (k, 4, 3)), where hessian() assembles H (6k, 6k) when a step needs it.
-
-    J is the sqrt(W)-weighted Jacobian in the tangent bases; each basis is
-    orthonormal and orthogonal to its quaternion, so |g| = |J^T sqrt(W) z|
-    is the norm of the projected gradient.  When every residual reads every
-    block (`problem.dense`), J is one dense (7m, 6k) matrix and g one
-    product; else g is summed from each residual's blocks J_s^T z.
-    """
-    k = len(free)
-    bases = _sphere_basis(x[free, :4])
-    sqrt_w = np.sqrt(_component_weights(problem))
-    cols, jac = problem.linearize(x)
-    z = z * sqrt_w
-    if problem.dense:
-        s = problem.n_blocks
-        # block-diagonal [[basis, 0], [0, I]] of the free blocks; zero at a held block
-        tangent = np.zeros((s, 7, k, 6))
-        tangent[free, :4, np.arange(k), :3] = bases
-        tangent[free, 4:, np.arange(k), 3:] = np.eye(3)
-        # the (7m, 7s) ambient Jacobian times the (7s, 6k) tangent bases, then weighted
-        jt = np.swapaxes(jac, 1, 2).reshape(-1, 7 * s) @ tangent.reshape(7 * s, 6 * k)
-        rows = jt.reshape(len(z), 7, 6 * k)
-        rows *= sqrt_w[:, None]
-        return (lambda: _hessian(jt, None, k)), (z.ravel() @ jt).reshape(k, 6), bases
-    col = np.full(problem.n_blocks, -1)
-    col[free] = np.arange(k)
-    # tangent Jacobians (m, s, 7, 6); a gauge block's is zero and adds to column 0
-    c = col[cols]
-    held = c < 0
-    c[held] = 0
-    jt = np.empty(jac.shape[:-1] + (6,))
-    jt[..., :3] = jac[..., :4] @ bases[c]
-    jt[..., 3:] = jac[..., 4:]
-    jt *= sqrt_w[:, None]
-    jt[held] = 0.0
-    grad = np.zeros((k, 6))
-    np.add.at(grad, c, np.einsum("msia,mi->msa", jt, z))
-    return (lambda: _hessian(jt, c, k)), grad, bases
-
-
-def _hessian(jt, c, k) -> np.ndarray:
-    """H = J^T J (6k, 6k) of the tangent Jacobian of _normal_equations: one
-    product of the dense (7m, 6k) J when c is None, else the sum of the 6x6
-    blocks J_s^T J_t of the (m, s, 7, 6) residual blocks jt at free columns c."""
-    if c is None:
-        return jt.T @ jt
-    # laid out (k, 6, k, 6) so that the 6k x 6k matrix is a view, not a copy
-    hess = np.zeros((k, 6, k, 6))
-    blocks = np.swapaxes(jt, 2, 3)[:, :, None] @ jt[:, None]  # J_s^T J_t, (m, s, s, 6, 6)
-    np.add.at(hess, (c[:, :, None], slice(None), c[:, None, :]), blocks)
-    return hess.reshape(6 * k, 6 * k)
-
-
 def _gauss_newton_step(hess, grad) -> np.ndarray:
     """The (k, 6) step solving H delta = -g; lstsq only when H is singular, as when
     identity-rotation hand-eye pairs leave x's translation unobserved (zero J columns)."""
@@ -590,7 +586,7 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
     if not np.isfinite(f):
         raise NonFiniteObjective("objective is not finite at the initial point")
     free = _free_blocks(problem)
-    hessian, grad, bases = _normal_equations(problem, x, z, free)
+    hessian, grad, bases = problem.normal_equations(x, z)
     iterations = 0
     status = STATUS_STALLED
     for _ in range(cfg.max_iters):
@@ -614,7 +610,7 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         improvement = f - f_new
         x, z, f = x_new, z_new, f_new
         iterations += 1
-        hessian, grad, bases = _normal_equations(problem, x, z, free)
+        hessian, grad, bases = problem.normal_equations(x, z)
         if improvement <= 1e-15 * f:
             break
     else:  # the cap was spent

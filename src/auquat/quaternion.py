@@ -218,11 +218,12 @@ def qlog_vec(q) -> np.ndarray:
     atan2 keeps full relative precision near the identity, where the
     inverse cosine of q0 rounds every th below about 1.5e-8 to zero.  Only
     qv = 0, and |qv| <= LOG_AXIS_EPS at q0 <= 0, read as the zero rotation.
-    A NaN component gives NaN, not the zero rotation.
+    A NaN component gives NaN, not the zero rotation.  |qv|^2 is (q1^2 +
+    q2^2) + q3^2, as in both RK4 loops of control, in any memory layout.
     """
     q = _trailing(q, 4)
     qv = q[..., 1:]
-    vn = np.sqrt(np.einsum("...i,...i->...", qv, qv))[..., None]
+    vn = np.sqrt(qv[..., :1] ** 2 + qv[..., 1:2] ** 2 + qv[..., 2:] ** 2)
     theta = np.arctan2(vn, q[..., :1])
     zero = vn <= np.where(q[..., :1] > 0.0, 0.0, LOG_AXIS_EPS)
     return np.where(zero, 0.0 * theta, qv * (theta / np.where(zero, 1.0, vn)))

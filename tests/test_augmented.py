@@ -335,35 +335,60 @@ def _fd_jacobian(func, x, h):
     return np.stack(cols, axis=-1)
 
 
+def _tangent_fd(func, x, h):
+    """Central differences of func along the tangent coordinates of the pose
+    x: normalize(p + h B e_k) with B = L(p)[:, 1:] for k < 3, t + h e_k after."""
+    basis = qt.left_matrix(x[:4])[:, 1:]
+    cols = []
+    for k in range(6):
+        up, down = x.copy(), x.copy()
+        if k < 3:
+            up[:4], down[:4] = x[:4] + h * basis[:, k], x[:4] - h * basis[:, k]
+            for y in (up, down):
+                y[:4] /= np.linalg.norm(y[:4])
+        else:
+            up[1 + k] += h
+            down[1 + k] -= h
+        cols.append((func(up) - func(down)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _posegraph_blocks(xi, xj):
+    from auquat.optimization import _slam_blocks, _slam_kernel
+
+    return _slam_blocks(np.asarray(xi)[..., 4:], *_slam_kernel(xi, xj))
+
+
 @pytest.mark.parametrize("h", [1e-3, 5e-4])
 def test_compose_and_inverse_are_smooth(h):
-    # central differences match the analytic Jacobians: the maps are
-    # polynomial (degree <= 2 per argument), so the FD error is pure
-    # roundoff at both step sizes
-    from auquat.optimization import _auq_inverse_jac, _compose_jac_left, _compose_jac_right
+    # central differences match the analytic Jacobians: d(x o y)/dx in the
+    # ambient coordinates, where the map is linear in x, so the FD error is
+    # pure roundoff; and the pose-graph tangent blocks of (x^-1 o y) - m,
+    # where normalizing p + h B e_k scales the odd part of every residual
+    # component by (1 + h^2)^(-1/2) or (1 + h^2)^(-1): an error of at most h^2 |J|
+    from auquat.optimization import _compose_jac_left, residual_slam
 
     rng = np.random.default_rng(11)
     for _ in range(10):
-        x = _rand_auq(rng=rng)
-        y = _rand_auq(rng=rng)
+        x, y, m = _rand_auq(rng=rng), _rand_auq(rng=rng), _rand_auq(rng=rng)
         jx = _fd_jacobian(lambda z: aug.compose(z, y), x, h)
         np.testing.assert_allclose(jx, _compose_jac_left(y), atol=1e-10)
-        jy = _fd_jacobian(lambda z: aug.compose(x, z), y, h)
-        np.testing.assert_allclose(jy, _compose_jac_right(x, y), atol=1e-10)
-        jinv = _fd_jacobian(aug.auq_inverse, x, h)
-        np.testing.assert_allclose(jinv, _auq_inverse_jac(x), atol=1e-10)
+        blocks = _posegraph_blocks(x, y)
+        np.testing.assert_allclose(_tangent_fd(lambda z: residual_slam(z, y, m), x, h),
+                                   blocks[0], atol=4 * h * h)
+        np.testing.assert_allclose(_tangent_fd(lambda z: residual_slam(x, z, m), y, h),
+                                   blocks[1], atol=4 * h * h)
 
 
 def test_jacobian_builders_broadcast_like_rows():
     # one pose against a batch (the hand-eye kernel passes (m, 7) and (7,))
     # and a batch against a batch equal the row-by-row Jacobians exactly
-    from auquat.optimization import _auq_inverse_jac, _compose_jac_left, _compose_jac_right
+    from auquat.optimization import _compose_jac_left
 
     rng = np.random.default_rng(12)
     one, xs, ys = _rand_auq(rng=rng), _rand_auq(6, rng), _rand_auq(6, rng)
     for x, y in [(xs, one), (one, ys), (xs, ys)]:
-        rows = zip(np.broadcast_to(x, xs.shape), np.broadcast_to(y, ys.shape))
-        np.testing.assert_array_equal(_compose_jac_right(x, y),
-                                      [_compose_jac_right(a, b) for a, b in rows])
-    for jac in (_compose_jac_left, _auq_inverse_jac):
-        np.testing.assert_array_equal(jac(xs), [jac(a) for a in xs])
+        rows = list(zip(np.broadcast_to(x, xs.shape), np.broadcast_to(y, ys.shape)))
+        np.testing.assert_array_equal(_posegraph_blocks(x, y),
+                                      [_posegraph_blocks(a, b) for a, b in rows])
+    np.testing.assert_array_equal(_compose_jac_left(xs), [_compose_jac_left(a) for a in xs])

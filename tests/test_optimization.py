@@ -118,6 +118,22 @@ def test_residual_slam_trivial_exact_and_gauge_invariant():
     )
 
 
+def test_posegraph_residuals_follow_the_composition_law():
+    """The w-form residuals [w, t_j - R(w)^T t_i] - y, w = q_i* q_j, of the
+    problem and of residual_slam equal (x_i^-1 o x_j) - y on random poses."""
+    rng = np.random.default_rng(35)
+    problem = opt.PoseGraphProblem(edges=[[0, 1], [2, 1], [1, 3], [3, 0], [2, 3]],
+                                   measurements=_rand_auq(5, rng=rng))
+    for _ in range(20):
+        x = _rand_auq(4, rng=rng)
+        xi, xj, y = x[problem.edges[:, 0]], x[problem.edges[:, 1]], problem.measurements
+        law = aug.compose(aug.auq_inverse(xi), xj) - y
+        np.testing.assert_allclose(problem.residuals(x), law, rtol=0, atol=ALGEBRA_ATOL)
+        np.testing.assert_allclose(opt.residual_slam(xi, xj, y), law, rtol=0, atol=ALGEBRA_ATOL)
+        np.testing.assert_allclose(opt.residual_slam(xi[0], xj[0], y[0]), law[0],
+                                   rtol=0, atol=ALGEBRA_ATOL)
+
+
 def test_objective_values_and_sigma_weighting():
     problem, x_true = gen_handeye(m=4, seed=3)
     assert opt.objective(problem, x_true[None]) <= 1e-28
@@ -191,6 +207,37 @@ def test_linearize_jacobian_matches_finite_differences(kind):
                 numeric = (problem.residuals(up) - problem.residuals(down)) / (2 * h)
                 analytic = np.einsum("ms,msi->mi", cols == b, jac[..., j])
                 assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+
+_UNIT_QUATERNION = st.tuples(*[st.floats(-1, 1)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
+_POSE = st.tuples(_UNIT_QUATERNION, st.tuples(*[st.floats(-10, 10)] * 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POSE, _POSE)
+def test_posegraph_ambient_jacobian_is_tangent_blocks_plus_euler_term(pose_i, pose_j):
+    """Each pose-graph residual is homogeneous in each quaternion block p,
+    of degree 1 in its rotation and 2 in its translation, so its ambient
+    Jacobian is J_tan B^T + r p^T for the tangent blocks J_tan in the basis
+    B = L(p)[:, 1:] and r = [w, -2 R(w)^T t_i], read off x_i^-1 o x_j =
+    [w, t_j - R(w)^T t_i].  The ambient side is central differences, exact
+    but for rounding: each residual is quadratic in any one coordinate."""
+    xi, xj = (aug.auq(np.array(q) / np.linalg.norm(q), t) for q, t in (pose_i, pose_j))
+    y = _rand_auq(rng=np.random.default_rng(36))
+    composed = aug.compose(aug.auq_inverse(xi), xj)
+    r = np.concatenate([composed[:4], -2.0 * (xj[4:] - composed[4:])])
+    tangent = opt._slam_blocks(xi[4:], *opt._slam_kernel(xi, xj))
+    h = 1e-3
+    for block, x in enumerate((xi, xj)):
+        jac = np.hstack([tangent[block, :, :3] @ qt.left_matrix(x[:4])[:, 1:].T
+                         + np.outer(r, x[:4]), tangent[block, :, 3:]])
+        for c in range(7):
+            up, down = x.copy(), x.copy()
+            up[c] += h
+            down[c] -= h
+            args_up, args_down = ((up, xj), (down, xj)) if block == 0 else ((xi, up), (xi, down))
+            numeric = (opt.residual_slam(*args_up, y) - opt.residual_slam(*args_down, y)) / (2 * h)
+            np.testing.assert_allclose(jac[:, c], numeric, rtol=0, atol=1e-8)
 
 
 def test_gradient_zero_at_noise_free_truth():
@@ -635,26 +682,44 @@ def test_posegraph_refuses_a_huge_index_without_sizing_by_it():
 # Gauss-Newton step
 
 
-def _dense_lstsq_step(problem, x):
-    """Reference step: lstsq on the dense weighted 7m x 6k tangent Jacobian."""
+def _lift(problem, x, bases) -> np.ndarray:
+    """The (7k, 6k) map from tangent coordinates of the free blocks to ambient
+    ones, [[basis, 0], [0, I]] per block, after checking that each basis is
+    orthonormal and orthogonal to its quaternion: then lift lift^T is the
+    projection onto the tangent spaces whatever bases the problem picks."""
+    free = opt._free_blocks(problem)
+    k = len(free)
+    np.testing.assert_allclose(np.swapaxes(bases, 1, 2) @ bases, np.tile(np.eye(3), (k, 1, 1)),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.einsum("kij,ki->kj", bases, x[free, :4]), 0.0, atol=1e-15)
+    lift = np.zeros((k, 7, k, 6))
+    lift[np.arange(k), :4, np.arange(k), :3] = bases
+    lift[np.arange(k), 4:, np.arange(k), 3:] = np.eye(3)
+    return lift.reshape(7 * k, 6 * k)
+
+
+def _projected_jacobian(problem, x) -> np.ndarray:
+    """The dense weighted (7m, 7k) ambient Jacobian of the free blocks from
+    `linearize`, each block's columns projected onto its tangent space."""
     free = opt._free_blocks(problem)
     col_of = {int(b): c for c, b in enumerate(free)}
     sqrt_w = np.sqrt(opt._component_weights(problem))
     cols, jblocks = problem.linearize(x)
-    z = problem.residuals(x) * sqrt_w
-    jac = np.zeros((len(z), 7, len(free), 6))
-    for r in range(len(z)):
+    jac = np.zeros((len(cols), 7, len(free), 7))
+    for r in range(len(cols)):
         for b, jb in zip(cols[r], jblocks[r] * sqrt_w[:, None]):
             if int(b) in col_of:
-                c = col_of[int(b)]
-                jac[r, :, c, :3] += jb[:, :4] @ opt._sphere_basis(x[b, :4])
-                jac[r, :, c, 3:] += jb[:, 4:]
-    delta, *_ = np.linalg.lstsq(jac.reshape(7 * len(z), -1), -z.ravel(), rcond=None)
-    return delta.reshape(-1, 6)
+                p = x[b, :4]
+                jac[r, :, col_of[int(b)], :4] += jb[:, :4] @ (np.eye(4) - np.outer(p, p))
+                jac[r, :, col_of[int(b)], 4:] += jb[:, 4:]
+    return jac.reshape(7 * len(cols), 7 * len(free))
 
 
 @pytest.mark.parametrize("kind", ["handeye", "world", "posegraph"])
 def test_gauss_newton_step_matches_dense_lstsq(kind):
+    """The step in ambient coordinates, which does not depend on the tangent
+    bases, equals the minimum-norm least-squares step of the projected dense
+    Jacobian, which spans the same columns."""
     rng = np.random.default_rng(7)
     if kind == "handeye":
         problem, x_true = gen_handeye(m=6, seed=3, sigma=0.5)
@@ -666,22 +731,22 @@ def test_gauss_newton_step_matches_dense_lstsq(kind):
         problem, x = gen_posegraph(n=8, loop_edges=6, seed=5)
     x = opt._retract(x + 0.05 * rng.normal(size=x.shape))
     x[problem.gauge] = aug.IDENTITY
-    hessian, grad, bases = opt._normal_equations(problem, x, problem.residuals(x),
-                                                 opt._free_blocks(problem))
-    delta = opt._gauss_newton_step(hessian(), grad)
-    reference = _dense_lstsq_step(problem, x)
-    assert delta.shape == reference.shape
-    assert np.linalg.norm(delta - reference) <= 1e-9 * np.linalg.norm(reference)
-    for b, basis in zip(opt._free_blocks(problem), bases):
-        np.testing.assert_allclose(basis, opt._sphere_basis(x[b, :4]), atol=0)
+    z = problem.residuals(x)
+    hessian, grad, bases = problem.normal_equations(x, z)
+    step = _lift(problem, x, bases) @ opt._gauss_newton_step(hessian(), grad).ravel()
+    sqrt_w = np.sqrt(opt._component_weights(problem))
+    reference, *_ = np.linalg.lstsq(_projected_jacobian(problem, x), -(z * sqrt_w).ravel(),
+                                    rcond=None)
+    assert np.linalg.norm(step - reference) <= 1e-9 * np.linalg.norm(reference)
 
 
 @pytest.mark.parametrize("kind", ["handeye", "world", "posegraph"])
 def test_normal_equations_equal_the_per_residual_block_sum(kind):
-    """H and g, one product each of the dense tangent Jacobian for the
-    hand-eye problems and scattered 6x6 blocks for a pose graph, equal the
-    sum over residuals of J_s^T J_t and J_s^T z built here from `linearize`
-    and `_sphere_basis`."""
+    """H and g, lifted to ambient coordinates through the problem's tangent
+    bases, equal P J^T J P and P J^T z for the weighted ambient Jacobian J of
+    `linearize` and the projection P onto the tangent spaces of the free
+    blocks, summed here residual by residual: the same whatever orthonormal
+    bases the problem assembles in."""
     rng = np.random.default_rng(8)
     if kind == "handeye":
         problem, _ = gen_handeye(m=7, seed=9, sigma=0.7, noise=NoiseModel(0.1, 0.1, 9))
@@ -689,29 +754,20 @@ def test_normal_equations_equal_the_per_residual_block_sum(kind):
         problem, *_ = gen_handeye_world(m=7, seed=10, sigma=1.6, noise=NoiseModel(0.1, 0.1, 10))
     else:
         problem, _ = gen_posegraph(n=7, loop_edges=5, seed=11, sigma=0.6)
-    assert problem.dense == (kind != "posegraph")
-    free = opt._free_blocks(problem)
     x = opt._retract(_rand_auq(problem.n_blocks, rng=rng))
     x[problem.gauge] = aug.IDENTITY
     z = problem.residuals(x)
-    hessian, grad, _ = opt._normal_equations(problem, x, z, free)
-    sqrt_w = np.sqrt(opt._component_weights(problem))
-    cols, jac = problem.linearize(x)
-    k = len(free)
-    hess_ref, grad_ref = np.zeros((k, 6, k, 6)), np.zeros((k, 6))
-    for r in range(len(z)):
-        blocks = {}
-        for b, jb in zip(cols[r], jac[r] * sqrt_w[:, None]):
-            if b in free:
-                c = int(np.flatnonzero(free == b)[0])
-                blocks[c] = np.hstack([jb[:, :4] @ opt._sphere_basis(x[b, :4]), jb[:, 4:]])
-        for c, jc in blocks.items():
-            grad_ref[c] += jc.T @ (z[r] * sqrt_w)
-            for d, jd in blocks.items():
-                hess_ref[c, :, d] += jc.T @ jd
-    hess_ref = hess_ref.reshape(6 * k, 6 * k)
-    assert np.linalg.norm(hessian() - hess_ref) <= 1e-12 * np.linalg.norm(hess_ref)
-    assert np.linalg.norm(grad - grad_ref) <= 1e-12 * np.linalg.norm(grad_ref)
+    hessian, grad, bases = problem.normal_equations(x, z)
+    lift = _lift(problem, x, bases)
+    jac = _projected_jacobian(problem, x).reshape(len(z), 7, -1)
+    zw = z * np.sqrt(opt._component_weights(problem))
+    hess_ref, grad_ref = np.zeros((jac.shape[-1],) * 2), np.zeros(jac.shape[-1])
+    for jr, zr in zip(jac, zw):
+        grad_ref += jr.T @ zr
+        hess_ref += jr.T @ jr
+    lifted_hess = lift @ hessian() @ lift.T
+    assert np.linalg.norm(lifted_hess - hess_ref) <= 1e-12 * np.linalg.norm(hess_ref)
+    assert np.linalg.norm(lift @ grad.ravel() - grad_ref) <= 1e-12 * np.linalg.norm(grad_ref)
 
 
 def test_a_converged_start_never_assembles_the_normal_matrix(monkeypatch):
@@ -737,8 +793,7 @@ def test_stopping_gradient_is_the_projected_gradient(kind):
     for _ in range(3):
         x = opt._retract(_rand_auq(problem.n_blocks, rng=rng))
         x[problem.gauge] = aug.IDENTITY
-        _, grad, _ = opt._normal_equations(problem, x, problem.residuals(x),
-                                           opt._free_blocks(problem))
+        _, grad, _ = problem.normal_equations(x, problem.residuals(x))
         g = opt.gradient(problem, x).reshape(-1, 7)
         g[:, :4] -= np.sum(g[:, :4] * x[:, :4], axis=-1, keepdims=True) * x[:, :4]
         g[problem.gauge] = 0.0
@@ -778,8 +833,8 @@ def test_an_initial_guess_solves_as_the_same_start_passed_to_solve():
 @pytest.mark.parametrize("kind", ["posegraph", "handeye", "world"])
 def test_solve_that_starts_converged_takes_no_step(kind, monkeypatch):
     """A start whose tangent gradient already meets grad_tol ends its
-    restart before any step: one linearization, one residual evaluation, and
-    the gauge-fixed start returned bit for bit."""
+    restart before any step: one assembly of the normal equations, one
+    residual evaluation, and the gauge-fixed start returned bit for bit."""
     init = None
     if kind == "posegraph":
         problem, _ = gen_posegraph(25, 25, 22)
@@ -791,13 +846,14 @@ def test_solve_that_starts_converged_takes_no_step(kind, monkeypatch):
         init = np.stack(truth)
     start = problem.initial_guess() if init is None else aug.as_auq(init)
     start[problem.gauge] = aug.IDENTITY
-    linearized, evaluated = [], []
-    linearize, residuals = problem.linearize, opt.residuals
-    monkeypatch.setattr(problem, "linearize", lambda x: linearized.append(1) or linearize(x))
+    assembled, evaluated = [], []
+    normal_equations, residuals = problem.normal_equations, opt.residuals
+    monkeypatch.setattr(problem, "normal_equations",
+                        lambda *a: assembled.append(1) or normal_equations(*a))
     monkeypatch.setattr(opt, "residuals", lambda *a: evaluated.append(1) or residuals(*a))
     result = opt.solve(problem, init=init)
     assert (result.iterations, result.status) == (0, opt.STATUS_CONVERGED)
-    assert (len(linearized), len(evaluated)) == (1, 1)
+    assert (len(assembled), len(evaluated)) == (1, 1)
     assert result.solution.tobytes() == start.tobytes()
 
 
@@ -851,8 +907,7 @@ def test_pure_translation_pairs_take_the_lstsq_step(monkeypatch):
     q = np.tile(aug.IDENTITY[:4], (5, 1))
     problem = opt.HandEyeProblem(a=np.hstack([q, a_t]), b=np.hstack([q, qt.rot_apply_T(x[:4], a_t)]))
     x0 = problem.initial_guess()
-    free = opt._free_blocks(problem)
-    hessian, _, _ = opt._normal_equations(problem, x0, problem.residuals(x0), free)
+    hessian, _, _ = problem.normal_equations(x0, problem.residuals(x0))
     hess = hessian()
     assert not np.any(hess[3:]) and not np.any(hess[:, 3:])
     calls = []
