@@ -14,12 +14,12 @@ is a product of unit 3-spheres (one per pose block) times R^3 factors.
 
 Each problem class is its own kernel, which the solver reads only
 through `residuals(x)`, the (m, 7) residuals z at the (n, 7) pose blocks
-x; `normal_equations(x, z)`, at x for the k blocks not held, a thunk for
-H (6k, 6k), which only a step calls, g (k, 6), and the orthonormal
-tangent bases (k, 4, 3) they are written in (so |g| is the norm of the
-projected gradient); `gauge`, the blocks held at the identity; and
-`initial_guess()` (identity blocks; for pose graphs `initial`, or else a
-spanning-forest chaining of the measurements).
+x; `normal_equations(x, z)`, at x for the k blocks `_free_blocks` lists,
+a thunk for H (6k, 6k), which only a step calls, g (k, 6), and the
+orthonormal tangent bases (k, 4, 3) they are written in (so |g| is the
+norm of the projected gradient); `gauge`, the blocks held at the
+identity; and `initial_guess()` (identity blocks; for pose graphs
+`initial`, or else a spanning-forest chaining of the measurements).
 `gradient()` reads `linearize(x)`: the (m, s) blocks `cols` each
 residual depends on and the (m, s, 7, 7) ambient Jacobians dz/dx[cols].
 
@@ -86,6 +86,11 @@ def _unit_blocks(x, what: str) -> np.ndarray:
     return aug.as_auq(x)
 
 
+def _free_blocks(problem) -> np.ndarray:
+    """The blocks not held, ascending: the rows of every g, tangent basis and step."""
+    return np.setdiff1d(np.arange(problem.n_blocks), problem.gauge)
+
+
 @dataclass
 class HandEyeProblem:
     """Measurement pairs (a_i, b_i) constraining one unknown pose x.
@@ -99,6 +104,7 @@ class HandEyeProblem:
     sigma: float = 1.0
     n_blocks = 1
     gauge = np.zeros(0, dtype=int)  # no held blocks
+    _free = cached_property(_free_blocks)
 
     def __post_init__(self):
         self.a = _unit_blocks(self.a, "a")
@@ -120,20 +126,19 @@ class HandEyeProblem:
         return self._kernel.cols, self._kernel.jacobian(x)
 
     def normal_equations(self, x, z) -> tuple[Callable[[], np.ndarray], np.ndarray, np.ndarray]:
-        """The sqrt(W)-weighted tangent Jacobian J is one dense (7m, 6s)
-        matrix, so H and g are one product each."""
-        s = self.n_blocks
-        bases = _sphere_basis(x[:, :4])
+        """The sqrt(W)-weighted tangent Jacobian J of the free blocks is one
+        dense (7m, 6k) matrix, so H and g are one product each."""
+        free, k = self._free, len(self._free)
+        bases = _sphere_basis(x[free, :4])
         sqrt_w = np.sqrt(_component_weights(self))
         _, jac = self.linearize(x)
-        # the (7m, 7s) ambient Jacobian times the block-diagonal [[basis, 0], [0, I]], weighted
-        tangent = np.zeros((s, 7, s, 6))
-        tangent[np.arange(s), :4, np.arange(s), :3] = bases
-        tangent[np.arange(s), 4:, np.arange(s), 3:] = np.eye(3)
-        jt = np.swapaxes(jac, 1, 2).reshape(-1, 7 * s) @ tangent.reshape(7 * s, 6 * s)
-        rows = jt.reshape(len(z), 7, 6 * s)
-        rows *= sqrt_w[:, None]
-        return (lambda: jt.T @ jt), ((z * sqrt_w).ravel() @ jt).reshape(s, 6), bases
+        # the (7m, 7s) ambient Jacobian times block-diagonal [[basis, 0], [0, I]] (free blocks)
+        tangent = np.zeros((self.n_blocks, 7, k, 6))
+        tangent[free, :4, np.arange(k), :3] = bases
+        tangent[free, 4:, np.arange(k), 3:] = np.eye(3)
+        jt = np.swapaxes(jac, 1, 2).reshape(7 * len(z), -1) @ tangent.reshape(-1, 6 * k)
+        jt.reshape(len(z), 7, 6 * k)[...] *= sqrt_w[:, None]  # weighted in place, through a view
+        return (lambda: jt.T @ jt), ((z * sqrt_w).ravel() @ jt).reshape(k, 6), bases
 
     def initial_guess(self) -> np.ndarray:
         return np.tile(aug.identity(), (self.n_blocks, 1))
@@ -544,10 +549,6 @@ def _sphere_basis(p) -> np.ndarray:
     return h[..., 1:]
 
 
-def _free_blocks(problem: Problem) -> np.ndarray:
-    return np.setdiff1d(np.arange(problem.n_blocks), problem.gauge)
-
-
 def _retract(x) -> np.ndarray:
     out = x.copy()
     out[:, :4] /= np.linalg.norm(out[:, :4], axis=-1, keepdims=True)
@@ -596,8 +597,7 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         if not np.all(np.isfinite(delta)):
             break
         step = np.zeros_like(x)
-        step[free, :4] = np.einsum("kij,kj->ki", bases, delta[:, :3])
-        step[free, 4:] = delta[:, 3:]
+        step[free] = np.hstack([np.einsum("kij,kj->ki", bases, delta[:, :3]), delta[:, 3:]])
         alpha = 1.0
         while alpha >= 2.0 ** -24:
             x_new = _retract(x + alpha * step)

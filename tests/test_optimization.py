@@ -719,7 +719,9 @@ def _projected_jacobian(problem, x) -> np.ndarray:
 def test_gauss_newton_step_matches_dense_lstsq(kind):
     """The step in ambient coordinates, which does not depend on the tangent
     bases, equals the minimum-norm least-squares step of the projected dense
-    Jacobian, which spans the same columns."""
+    Jacobian, which spans the same columns.  The bases are each family's own:
+    the Householder bases of `_sphere_basis` for the hand-eye problems and
+    L(p)[:, 1:] for a pose graph, bit for bit."""
     rng = np.random.default_rng(7)
     if kind == "handeye":
         problem, x_true = gen_handeye(m=6, seed=3, sigma=0.5)
@@ -738,6 +740,9 @@ def test_gauss_newton_step_matches_dense_lstsq(kind):
     reference, *_ = np.linalg.lstsq(_projected_jacobian(problem, x), -(z * sqrt_w).ravel(),
                                     rcond=None)
     assert np.linalg.norm(step - reference) <= 1e-9 * np.linalg.norm(reference)
+    p = x[opt._free_blocks(problem), :4]
+    expected = qt.left_matrix(p)[..., 1:] if kind == "posegraph" else opt._sphere_basis(p)
+    np.testing.assert_array_equal(bases, expected)
 
 
 @pytest.mark.parametrize("kind", ["handeye", "world", "posegraph"])
