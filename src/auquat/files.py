@@ -160,6 +160,9 @@ def parse_problem_file(path, world: bool = False) -> Problem:
             if n <= edges.size:  # else some vertex is in no edge, which the problem refuses
                 initial = np.tile(aug.identity(), (n, 1))
                 initial[list(vertices)] = list(vertices.values())
+        if edges.dtype == object:
+            # an index past int64; capped at 2m, the first vertex in no edge stays the same
+            edges = np.minimum(edges, edges.size).astype(int)
         return PoseGraphProblem(edges=edges, measurements=np.array(measurements), sigma=sigma,
                                 initial=initial)
     except ParseError:

@@ -15,28 +15,27 @@ is a product of unit 3-spheres (one per pose block) times R^3 factors.
 Each problem class is its own kernel, which the solver reads only
 through `residuals(x)`, the (m, 7) residuals z at the (n, 7) pose blocks
 x; `normal_equations(x, z)`, at x for the k blocks `_free_blocks` lists,
-a thunk for H (6k, 6k), which only a step calls, g (k, 6), and the
-orthonormal tangent bases (k, 4, 3) they are written in (so |g| is the
-norm of the projected gradient); `gauge`, the blocks held at the
-identity; and `initial_guess()` (identity blocks; for pose graphs
-`initial`, or else a spanning-forest chaining of the measurements).
-`gradient()` reads `linearize(x)`: the (m, s) blocks `cols` each
-residual depends on and the (m, s, 7, 7) ambient Jacobians dz/dx[cols].
+a thunk for H (6k, 6k), which only a step calls, and g (k, 6); `gauge`,
+the blocks held at the identity; and `initial_guess()` (identity blocks;
+for pose graphs `initial`, or else a spanning-forest chaining of the
+measurements).  `gradient()` reads `linearize(x)`: the (m, s) blocks
+`cols` each residual depends on and the (m, s, 7, 7) ambient Jacobians
+dz/dx[cols].  Every family writes H and g in one tangent basis, that of
+`_tangent_bases`: the right perturbations L(p)[:, 1:] (p [0, e_k] for
+the quaternion p; Sola, Deray and Atchuthan, 2018), which are
+orthonormal, so |g| is the norm of the projected gradient.
 
 A hand-eye residual is linear in the pose blocks but for R(q)^T t_a, q
 the quaternion of x, so each hand-eye problem forms the matrices of its
 pairs once (L(a) - Rm(b) and I - R(b)^T; for the world problem L(a),
 Rm(b) and R(b)^T): `residuals` is a few batched products, and
 `linearize` fills in only the 3x4 block d(R(q)^T t_a)/dq.  The tangent
-Jacobian, in the Householder bases of `_sphere_basis`, is one dense
-(7m, 6s) matrix, so H and g are one product each.
+Jacobian is one dense (7m, 6s) matrix, so H and g are one product each.
 
 A pose-graph residual takes one quaternion product and no inverse, and
-its tangent blocks are closed-form (`_slam_blocks`) in the
-right-perturbation bases L(p)[:, 1:] (p [0, e_k] for the quaternion p;
-Sola, Deray and Atchuthan, 2018).  g and H are summed from them at
-positions fixed per problem; `linearize` reads the ambient Jacobian off
-the same blocks.
+its tangent blocks are closed-form (`_slam_blocks`).  g and H are summed
+from them at positions fixed per problem; `linearize` reads the ambient
+Jacobian off the same blocks.
 
 Each restart is one tangent-space Gauss-Newton loop.  It evaluates each
 point once, and has g assembled from the residuals of the point it
@@ -91,6 +90,12 @@ def _free_blocks(problem) -> np.ndarray:
     return np.setdiff1d(np.arange(problem.n_blocks), problem.gauge)
 
 
+def _tangent_bases(p) -> np.ndarray:
+    """The orthonormal bases (..., 4, 3) L(p)[:, 1:] of the tangent spaces of
+    S^3 at unit p: the right perturbations, B delta = p [0, delta]."""
+    return quat.left_matrix(p)[..., 1:]
+
+
 @dataclass
 class HandEyeProblem:
     """Measurement pairs (a_i, b_i) constraining one unknown pose x.
@@ -125,20 +130,19 @@ class HandEyeProblem:
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self._kernel.cols, self._kernel.jacobian(x)
 
-    def normal_equations(self, x, z) -> tuple[Callable[[], np.ndarray], np.ndarray, np.ndarray]:
+    def normal_equations(self, x, z) -> tuple[Callable[[], np.ndarray], np.ndarray]:
         """The sqrt(W)-weighted tangent Jacobian J of the free blocks is one
         dense (7m, 6k) matrix, so H and g are one product each."""
         free, k = self._free, len(self._free)
-        bases = _sphere_basis(x[free, :4])
         sqrt_w = np.sqrt(_component_weights(self))
         _, jac = self.linearize(x)
         # the (7m, 7s) ambient Jacobian times block-diagonal [[basis, 0], [0, I]] (free blocks)
         tangent = np.zeros((self.n_blocks, 7, k, 6))
-        tangent[free, :4, np.arange(k), :3] = bases
+        tangent[free, :4, np.arange(k), :3] = _tangent_bases(x[free, :4])
         tangent[free, 4:, np.arange(k), 3:] = np.eye(3)
         jt = np.swapaxes(jac, 1, 2).reshape(7 * len(z), -1) @ tangent.reshape(-1, 6 * k)
         jt.reshape(len(z), 7, 6 * k)[...] *= sqrt_w[:, None]  # weighted in place, through a view
-        return (lambda: jt.T @ jt), ((z * sqrt_w).ravel() @ jt).reshape(k, 6), bases
+        return (lambda: jt.T @ jt), ((z * sqrt_w).ravel() @ jt).reshape(k, 6)
 
     def initial_guess(self) -> np.ndarray:
         return np.tile(aug.identity(), (self.n_blocks, 1))
@@ -182,6 +186,8 @@ class PoseGraphProblem:
             raise ValueError("a pose graph needs at least one edge")
         if self.edges.ndim != 2 or self.edges.shape[1] != 2:
             raise ValueError("edges must have shape (m, 2)")
+        if not np.issubdtype(self.edges.dtype, np.integer):
+            raise ValueError(f"edge indices must be integers, got dtype {self.edges.dtype}")
         self.measurements = _unit_blocks(self.measurements, "measurements")
         if len(self.measurements) != len(self.edges):
             raise ValueError("one measurement per edge is required")
@@ -192,8 +198,6 @@ class PoseGraphProblem:
         if vertices[-1] >= self.n:  # the first k with vertices[k] > k is missing
             raise ValueError(f"vertex {np.argmax(vertices != np.arange(self.n))} "
                              "is in no EDGE record")
-        if not np.issubdtype(self.edges.dtype, np.integer):
-            raise ValueError(f"edge indices must be integers, got dtype {self.edges.dtype}")
         if np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise ValueError("self loops are not allowed")
         quat._positive_finite("sigma", self.sigma)
@@ -258,17 +262,16 @@ class PoseGraphProblem:
         col[free] = np.arange(len(free))
         return free, 6 * col[self.edges][..., None] + np.arange(6)
 
-    def normal_equations(self, x, z) -> tuple[Callable[[], np.ndarray], np.ndarray, np.ndarray]:
-        """g and H summed from the 6x6 tangent blocks of every edge, in the
-        bases L(p)[:, 1:] of the free blocks (right perturbations p [0, e_k])."""
+    def normal_equations(self, x, z) -> tuple[Callable[[], np.ndarray], np.ndarray]:
+        """g and H summed from the 6x6 tangent blocks of every edge, which
+        `_slam_blocks` writes in the bases `_tangent_bases` of the blocks."""
         free, slots = self._slots
         k, sqrt_w = len(free), np.sqrt(_component_weights(self))
         xi = x[self.edges[:, 0]]
         jt = _slam_blocks(xi[:, 4:], *_slam_kernel(xi, x[self.edges[:, 1]]))
         jt *= sqrt_w[:, None]
         grad = np.bincount(slots.ravel(), ((z * sqrt_w)[:, None, None, :] @ jt).ravel(), 6 * k + 6)
-        bases = quat.left_matrix(x[free, :4])[..., 1:]
-        return (lambda: _hessian(jt, slots, k)), grad[:-6].reshape(k, 6), bases
+        return (lambda: _hessian(jt, slots, k)), grad[:-6].reshape(k, 6)
 
     @cached_property
     def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -401,7 +404,8 @@ def _slam_kernel(xi, xj) -> tuple[np.ndarray, ...]:
 
 def _slam_blocks(ti, w, left, right, rot_t, u) -> np.ndarray:
     """The (..., 2, 7, 6) Jacobians of z_ij in x_i and x_j along the tangent
-    bases [[L(p)[:, 1:], 0], [0, I]], T = quaternion.cross_matrix:
+    bases [[B, 0], [0, I]] for B = `_tangent_bases`(p) = L(p)[:, 1:] of the
+    quaternion p of each pose, T = quaternion.cross_matrix:
 
         x_i: [[-Rm(w)[:, 1:], 0], [-2 R(w)^T T(t_i), -R(w)^T]]
         x_j: [[ L(w)[:, 1:],  0], [ 2 T(u),           I     ]]
@@ -540,15 +544,6 @@ class SolveResult(RestartRecord):
     restarts: list[RestartRecord] = field(default_factory=list)
 
 
-def _sphere_basis(p) -> np.ndarray:
-    """Orthonormal bases (..., 4, 3) of the tangent spaces of S^3 at unit p."""
-    u = np.array(p, dtype=float)
-    u[..., 0] += np.where(u[..., 0] >= 0.0, 1.0, -1.0)
-    scale = 2.0 / np.sum(u * u, axis=-1)
-    h = np.eye(4) - scale[..., None, None] * u[..., :, None] * u[..., None, :]
-    return h[..., 1:]
-
-
 def _retract(x) -> np.ndarray:
     out = x.copy()
     out[:, :4] /= np.linalg.norm(out[:, :4], axis=-1, keepdims=True)
@@ -587,7 +582,7 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
     if not np.isfinite(f):
         raise NonFiniteObjective("objective is not finite at the initial point")
     free = _free_blocks(problem)
-    hessian, grad, bases = problem.normal_equations(x, z)
+    hessian, grad = problem.normal_equations(x, z)
     iterations = 0
     status = STATUS_STALLED
     for _ in range(cfg.max_iters):
@@ -597,6 +592,7 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         if not np.all(np.isfinite(delta)):
             break
         step = np.zeros_like(x)
+        bases = _tangent_bases(x[free, :4])
         step[free] = np.hstack([np.einsum("kij,kj->ki", bases, delta[:, :3]), delta[:, 3:]])
         alpha = 1.0
         while alpha >= 2.0 ** -24:
@@ -610,7 +606,7 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         improvement = f - f_new
         x, z, f = x_new, z_new, f_new
         iterations += 1
-        hessian, grad, bases = problem.normal_equations(x, z)
+        hessian, grad = problem.normal_equations(x, z)
         if improvement <= 1e-15 * f:
             break
     else:  # the cap was spent

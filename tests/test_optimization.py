@@ -1,3 +1,4 @@
+import math
 import re
 import time
 import warnings
@@ -5,7 +6,7 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auquat import augmented as aug
@@ -657,6 +658,8 @@ def test_connected_graph_does_not_warn():
         ([[0.0, 1.0]], "must be integers"),
         ([[0, 1], [1, 3]], "vertex 2 is in no EDGE record"),
         ([[1, 2], [3, 4]], "vertex 0 is in no EDGE record"),
+        # a float index is refused as such, before the vertices are counted
+        ([[0.0, 2.0]], "must be integers"),
     ],
 )
 def test_posegraph_refuses_an_unmeasured_or_invalid_vertex(edges, message):
@@ -682,18 +685,33 @@ def test_posegraph_refuses_a_huge_index_without_sizing_by_it():
 # Gauss-Newton step
 
 
-def _lift(problem, x, bases) -> np.ndarray:
+@settings(max_examples=200, deadline=None)
+@given(_UNIT_QUATERNION, st.tuples(*[st.floats(-10, 10, allow_subnormal=False)] * 3))
+@example((-1.0, 0.0, 0.0, 0.0), (1.0, -2.0, 3.0))
+@example((-1.0, 1e-9, -1e-9, 1e-9), (0.5, 0.25, -4.0))
+@example((-0.5, 0.5, -0.5, 0.5), (0.0, 0.0, 0.0))
+def test_tangent_bases_are_right_perturbations(q, delta):
+    """At unit p, p_0 < 0 and p near -1 included, the tangent bases B are
+    orthonormal and orthogonal to p, and B delta is the right perturbation
+    p [0, delta]."""
+    p, delta = np.array(q) / np.linalg.norm(q), np.array(delta)
+    basis = opt._tangent_bases(p)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(3), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p @ basis, 0.0, rtol=0, atol=1e-15)
+    # math.hypot: np.linalg.norm squares first, so a tiny delta's norm underflows to 0
+    np.testing.assert_allclose(basis @ delta, qt.qmul(p, qt.vector_quat(delta)),
+                               rtol=0, atol=1e-14 * math.hypot(*delta))
+
+
+def _lift(problem, x) -> np.ndarray:
     """The (7k, 6k) map from tangent coordinates of the free blocks to ambient
-    ones, [[basis, 0], [0, I]] per block, after checking that each basis is
-    orthonormal and orthogonal to its quaternion: then lift lift^T is the
-    projection onto the tangent spaces whatever bases the problem picks."""
+    ones, [[B, 0], [0, I]] per block for the tangent bases B, which are
+    orthonormal and orthogonal to their quaternions: lift lift^T is the
+    projection onto the tangent spaces."""
     free = opt._free_blocks(problem)
     k = len(free)
-    np.testing.assert_allclose(np.swapaxes(bases, 1, 2) @ bases, np.tile(np.eye(3), (k, 1, 1)),
-                               rtol=0, atol=1e-15)
-    np.testing.assert_allclose(np.einsum("kij,ki->kj", bases, x[free, :4]), 0.0, atol=1e-15)
     lift = np.zeros((k, 7, k, 6))
-    lift[np.arange(k), :4, np.arange(k), :3] = bases
+    lift[np.arange(k), :4, np.arange(k), :3] = opt._tangent_bases(x[free, :4])
     lift[np.arange(k), 4:, np.arange(k), 3:] = np.eye(3)
     return lift.reshape(7 * k, 6 * k)
 
@@ -719,9 +737,7 @@ def _projected_jacobian(problem, x) -> np.ndarray:
 def test_gauss_newton_step_matches_dense_lstsq(kind):
     """The step in ambient coordinates, which does not depend on the tangent
     bases, equals the minimum-norm least-squares step of the projected dense
-    Jacobian, which spans the same columns.  The bases are each family's own:
-    the Householder bases of `_sphere_basis` for the hand-eye problems and
-    L(p)[:, 1:] for a pose graph, bit for bit."""
+    Jacobian, which spans the same columns."""
     rng = np.random.default_rng(7)
     if kind == "handeye":
         problem, x_true = gen_handeye(m=6, seed=3, sigma=0.5)
@@ -734,24 +750,20 @@ def test_gauss_newton_step_matches_dense_lstsq(kind):
     x = opt._retract(x + 0.05 * rng.normal(size=x.shape))
     x[problem.gauge] = aug.IDENTITY
     z = problem.residuals(x)
-    hessian, grad, bases = problem.normal_equations(x, z)
-    step = _lift(problem, x, bases) @ opt._gauss_newton_step(hessian(), grad).ravel()
+    hessian, grad = problem.normal_equations(x, z)
+    step = _lift(problem, x) @ opt._gauss_newton_step(hessian(), grad).ravel()
     sqrt_w = np.sqrt(opt._component_weights(problem))
     reference, *_ = np.linalg.lstsq(_projected_jacobian(problem, x), -(z * sqrt_w).ravel(),
                                     rcond=None)
     assert np.linalg.norm(step - reference) <= 1e-9 * np.linalg.norm(reference)
-    p = x[opt._free_blocks(problem), :4]
-    expected = qt.left_matrix(p)[..., 1:] if kind == "posegraph" else opt._sphere_basis(p)
-    np.testing.assert_array_equal(bases, expected)
 
 
 @pytest.mark.parametrize("kind", ["handeye", "world", "posegraph"])
 def test_normal_equations_equal_the_per_residual_block_sum(kind):
-    """H and g, lifted to ambient coordinates through the problem's tangent
-    bases, equal P J^T J P and P J^T z for the weighted ambient Jacobian J of
-    `linearize` and the projection P onto the tangent spaces of the free
-    blocks, summed here residual by residual: the same whatever orthonormal
-    bases the problem assembles in."""
+    """H and g, lifted to ambient coordinates through the tangent bases, equal
+    P J^T J P and P J^T z for the weighted ambient Jacobian J of `linearize`
+    and the projection P onto the tangent spaces of the free blocks, summed
+    here residual by residual."""
     rng = np.random.default_rng(8)
     if kind == "handeye":
         problem, _ = gen_handeye(m=7, seed=9, sigma=0.7, noise=NoiseModel(0.1, 0.1, 9))
@@ -762,8 +774,8 @@ def test_normal_equations_equal_the_per_residual_block_sum(kind):
     x = opt._retract(_rand_auq(problem.n_blocks, rng=rng))
     x[problem.gauge] = aug.IDENTITY
     z = problem.residuals(x)
-    hessian, grad, bases = problem.normal_equations(x, z)
-    lift = _lift(problem, x, bases)
+    hessian, grad = problem.normal_equations(x, z)
+    lift = _lift(problem, x)
     jac = _projected_jacobian(problem, x).reshape(len(z), 7, -1)
     zw = z * np.sqrt(opt._component_weights(problem))
     hess_ref, grad_ref = np.zeros((jac.shape[-1],) * 2), np.zeros(jac.shape[-1])
@@ -786,8 +798,10 @@ def test_a_converged_start_never_assembles_the_normal_matrix(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["handeye", "world", "slam"])
 def test_stopping_gradient_is_the_projected_gradient(kind):
-    """|g| of the normal equations is the norm of the public ambient
-    gradient projected onto the tangent spaces, with gauge blocks zeroed."""
+    """g of the normal equations is the public ambient gradient written in
+    the tangent bases B of the free blocks, component by component: B^T
+    grad_q f in the rotation rows and grad_t f in the translation rows.  B
+    is orthonormal, so |g| is the norm of the projected gradient."""
     if kind == "handeye":
         problem, _ = gen_handeye(m=5, seed=24, sigma=0.8)
     elif kind == "world":
@@ -798,11 +812,12 @@ def test_stopping_gradient_is_the_projected_gradient(kind):
     for _ in range(3):
         x = opt._retract(_rand_auq(problem.n_blocks, rng=rng))
         x[problem.gauge] = aug.IDENTITY
-        _, grad, _ = problem.normal_equations(x, problem.residuals(x))
-        g = opt.gradient(problem, x).reshape(-1, 7)
-        g[:, :4] -= np.sum(g[:, :4] * x[:, :4], axis=-1, keepdims=True) * x[:, :4]
-        g[problem.gauge] = 0.0
-        assert abs(np.linalg.norm(grad) - np.linalg.norm(g)) <= 1e-12 * np.linalg.norm(g)
+        _, grad = problem.normal_equations(x, problem.residuals(x))
+        free = opt._free_blocks(problem)
+        g = opt.gradient(problem, x).reshape(-1, 7)[free]
+        rows = np.einsum("kij,ki->kj", opt._tangent_bases(x[free, :4]), g[:, :4])
+        expected = np.hstack([rows, g[:, 4:]])
+        assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_posegraph_solve_starts_from_the_problem_initial_guess():
@@ -912,7 +927,7 @@ def test_pure_translation_pairs_take_the_lstsq_step(monkeypatch):
     q = np.tile(aug.IDENTITY[:4], (5, 1))
     problem = opt.HandEyeProblem(a=np.hstack([q, a_t]), b=np.hstack([q, qt.rot_apply_T(x[:4], a_t)]))
     x0 = problem.initial_guess()
-    hessian, _, _ = problem.normal_equations(x0, problem.residuals(x0))
+    hessian, _ = problem.normal_equations(x0, problem.residuals(x0))
     hess = hessian()
     assert not np.any(hess[3:]) and not np.any(hess[:, 3:])
     calls = []
