@@ -45,7 +45,8 @@ loop over plants in Python would pay the float loop B times.  atan2 is
 numpy's in both, and the kept states are laid out as integrate keeps
 them before V is derived, so each plant of a batch gets its integrate
 run's V, final state and largest renormalization residual to the last
-bit.
+bit, and a batch raises StepDiverged when a plant's own integrate run
+would.
 """
 
 from __future__ import annotations
@@ -293,6 +294,28 @@ def _start(x0, xd, dt: float, steps: int, dynamics: str):
     return xe, _WW_WEIGHT[dynamics]
 
 
+def _check_no_rise(V, dt: float, batch: bool) -> None:
+    """Raise StepDiverged at the first step where a plant's V rises by more
+    than LYAPUNOV_RISE_RTOL relative to its previous V.
+
+    V is (B, steps + 1), one plant a row, scanned in blocks of at most 64
+    steps.  The message names the earliest rising step and, for a batch,
+    the lowest plant rising there.  A V that is inf at both steps
+    (inf - inf, an overflow) is no rise.
+    """
+    for start in range(0, V.shape[1] - 1, 64):
+        end = min(start + 64, V.shape[1] - 1)
+        prev, cur = V[:, start:end], V[:, start + 1 : end + 1]
+        with np.errstate(invalid="ignore"):
+            rising = cur - prev > LYAPUNOV_RISE_RTOL * prev
+        steps = np.flatnonzero(rising.any(axis=0))
+        if steps.size:
+            b, i = np.flatnonzero(rising[:, steps[0]])[0], start + steps[0] + 1
+            prefix = f"plant {b}: " if batch else ""
+            raise StepDiverged(f"{prefix}V rose from {V[b, i - 1]:.6g} to {V[b, i]:.6g} at step "
+                               f"{i}: dt = {dt:g} is too large for the gains")
+
+
 def integrate(
     x0,
     xd,
@@ -354,11 +377,7 @@ def integrate(
     te = states[:, 4:].copy()
     V = _lyapunov_of(theta, te, weights)
     if dynamics == DYNAMICS_EXPONENTIAL:
-        rises = np.flatnonzero(np.diff(V) > LYAPUNOV_RISE_RTOL * V[:-1])
-        if rises.size:
-            i = rises[0] + 1
-            raise StepDiverged(f"V rose from {V[i - 1]:.6g} to {V[i]:.6g} at step {i}: "
-                               f"dt = {dt:g} is too large for the gains")
+        _check_no_rise(V[None], dt, batch=False)
     return ControlTrace(
         time=np.arange(steps + 1) * dt,
         xe=states,
@@ -388,6 +407,10 @@ def integrate_batch(
     Used by the decay-bound verification.  The loop steps one (7, B)
     state; V is derived from blocks of kept states laid out as rows of 7,
     as integrate keeps them, so each plant's V equals its integrate V.
+    A batch raises StepDiverged when some plant's own integrate run
+    would: at a non-finite state and, for exponential dynamics, at a rise
+    of V, whose message names the lowest plant rising at the earliest
+    such step.
     """
     x0, xd = np.asarray(x0, dtype=float), np.asarray(xd, dtype=float)
     if x0.ndim != 2 or len(x0) < 1 or xd.shape != x0.shape:  # _start checks the 7 columns
@@ -437,4 +460,6 @@ def integrate_batch(
                 with np.errstate(**err):
                     V[:, i - j : i + 1] = lyapunov(block[: j + 1].reshape(-1, 7),
                                                    weights).reshape(j + 1, -1).T
+    if dynamics == DYNAMICS_EXPONENTIAL:
+        _check_no_rise(V, dt, batch=True)
     return EnsembleResult(V=V, xe_final=x.T.copy(), max_renorm=max_renorm, dt=dt)

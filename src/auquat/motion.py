@@ -124,10 +124,12 @@ def oplus_jump(axis, delta: float) -> float:
 
 def discontinuity_report(axis, deltas) -> np.ndarray:
     """Table of jump magnitudes, one row (delta, rotvec jump, oplus jump)
-    per offset; both jumps approach 2 pi as delta goes to 0."""
+    per offset; both jumps approach 2 pi as delta goes to 0.  Offsets lie
+    in (0, pi]: beyond pi the approach point is no longer near q0 = -1."""
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     if deltas.size == 0:
         raise ValueError("need at least one offset")
-    quat._positive_finite("offsets", deltas)
+    if not np.all((deltas > 0.0) & (deltas <= np.pi)):  # NaN fails this too
+        raise ValueError("offsets must lie in (0, pi]")
     rows = [(d, rotvec_jump(axis, d), oplus_jump(axis, d)) for d in deltas]
     return np.array(rows)

@@ -13,9 +13,7 @@ N_SAMPLES = 10_000
 
 
 def _rand_auq(n=None, rng=RNG):
-    q = qt.random_unit(rng, n)
-    t = rng.uniform(-1.0, 1.0, (3,) if n is None else (n, 3))
-    return np.concatenate([q, t], axis=-1)
+    return aug.random_auq(rng, n)
 
 
 def _rand_aq(n, rng=RNG):

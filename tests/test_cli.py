@@ -1,8 +1,13 @@
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import auquat
 from auquat import cli, files
 from auquat import optimization as opt
 from auquat.cli import main
@@ -73,9 +78,10 @@ def test_simulate_and_probe(tmp_path):
 def test_probe_measures_small_offsets(tmp_path):
     """Both jumps read 2 pi - delta at offsets far below 1e-7 rad."""
     report = tmp_path / "probe.txt"
-    assert main(["probe", "--deltas", "1e-7,1e-8,1e-10,2e-12,1e-13", "-o", str(report)]) == 0
+    deltas = [1e-7, 1e-8, 1e-10, 1e-11, 2e-12, 1e-13]
+    assert main(["probe", "--deltas", ",".join(map(str, deltas)), "-o", str(report)]) == 0
     table = np.loadtxt(report, skiprows=2)
-    np.testing.assert_array_equal(table[:, 0], [1e-7, 1e-8, 1e-10, 2e-12, 1e-13])
+    np.testing.assert_array_equal(table[:, 0], deltas)
     for column in (1, 2):
         np.testing.assert_allclose(table[:, column], 2 * np.pi - table[:, 0], rtol=0, atol=1e-12)
 
@@ -248,6 +254,7 @@ def test_simulate_malformed_number_list_exit_code(tmp_path, capsys, option, mess
         ["gen", "--problem", "handeye", "--rot-noise", "nan"],
         ["gen", "--problem", "handeye", "--trans-noise", "inf"],
         ["gen", "--problem", "posegraph", "--trans-noise", "nan"],
+        ["probe", "--deltas", "4"],
     ],
 )
 def test_invalid_option_value_exit_code(tmp_path, capsys, argv):
@@ -279,6 +286,136 @@ def test_huge_vertex_index_exit_code(tmp_path, capsys):
     assert main(["slam", str(path), "-o", str(out)]) == 2
     assert "vertex 2 is in no EDGE record" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_version_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"auquat {auquat.__version__}\n"
+
+
+_NOISE = ["--rot-noise", "0.01", "--trans-noise", "0.01", "--noise-seed"]
+# gen arguments of the generated problem files below
+_GENERATED = {
+    "he": ["handeye", "-m", "5", "--seed", "7"],
+    "world": ["handeye-world", "-m", "5", "--seed", "7"],
+    "pg": ["posegraph", "-n", "6", "--loop-edges", "4", "--seed", "7"],
+    "pg400": ["posegraph", "-n", "400", "--loop-edges", "400", "--seed", "7"],
+    "noisy-pg": ["posegraph", "-n", "15", "--loop-edges", "15", "--seed", "33", *_NOISE, "33"],
+    "noisy-he": ["handeye", "-m", "20", "--seed", "7", *_NOISE, "7"],
+    "noisy-world": ["handeye-world", "-m", "20", "--seed", "7", *_NOISE, "7"],
+}
+_WRITTEN = {
+    "sigma2": "SIGMA 1\nSIGMA 7\nPAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\n",
+    # translations whose residuals overflow
+    "huge-pairs": "PAIR 1 0 0 0 1e308 0 0 1 0 0 0 -1e308 0 0\n"
+                  "PAIR 0 1 0 0 0 1e308 0 0 1 0 0 0 -1e308 0\n",
+}
+
+
+@pytest.fixture(scope="module")
+def problems(tmp_path_factory):
+    """Each named problem file's path: generated, written, or, for "pgv",
+    the "pg" graph with a VERTEX guess off the identity at vertex 0."""
+    folder = tmp_path_factory.mktemp("problems")
+    paths = {name: folder / f"{name}.txt" for name in [*_GENERATED, *_WRITTEN, "pgv"]}
+    for name, argv in _GENERATED.items():
+        assert main(["gen", "--problem", *argv, "-o", str(paths[name])]) == 0
+    for name, text in _WRITTEN.items():
+        paths[name].write_text(text)
+    paths["pgv"].write_text(paths["pg"].read_text() + "VERTEX 0 0 1 0 0 0.5 0 0\n")
+    return paths
+
+
+@pytest.mark.parametrize(
+    "command, name, options, code, error",
+    [
+        # the identity start is not converged, so a solve that takes no step exits 3
+        ("calibrate", "he", ["--max-iters", "0"], 3, ""),
+        ("calibrate", "sigma2", [], 2, "sigma2.txt:2: SIGMA is repeated (first on line 1)"),
+        ("calibrate-world", "world", [], 0, ""),
+        ("slam", "pg", [], 0, ""),
+        # a clean graph's spanning-tree start is already converged, at n = 400
+        # too, where a mis-ordered level of the tree chaining would leave it unconverged
+        ("slam", "pg", ["--max-iters", "0"], 0, ""),
+        ("slam", "pg400", ["--max-iters", "0"], 0, ""),
+        # an overflow is refused as an invalid input, not raised as a numpy warning
+        ("calibrate", "huge-pairs", [], 2, "objective is not finite at the initial point"),
+    ],
+    ids=["calibrate-he-0-iters", "calibrate-sigma2", "calibrate-world", "slam-pg", "slam-pg-0-iters",
+         "slam-pg400-0-iters", "calibrate-huge-pairs"],
+)
+def test_solve_exit_codes(problems, tmp_path, capsys, command, name, options, code, error):
+    out = tmp_path / "out.sol"
+    assert main([command, str(problems[name]), "-o", str(out), *options]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.endswith(f"{error}\n")
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert (files.parse_solution(out)["status"] == opt.STATUS_CONVERGED) == (code == 0)
+
+
+def test_slam_holds_vertex_0_off_its_guess(problems, tmp_path):
+    out = tmp_path / "pgv.sol"
+    assert main(["slam", str(problems["pgv"]), "-o", str(out)]) == 0
+    assert "VERTEX 0 1 0 0 0 0 0 0" in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "command, name, rows",
+    [("slam", "noisy-pg", 15), ("calibrate", "noisy-he", 1),
+     ("calibrate-world", "noisy-world", 2)],
+)
+def test_noisy_solve_exit_code_tells_its_status(problems, tmp_path, command, name, rows):
+    """Exit 0 with STATUS converged or 3 with any other status, and every
+    solution row's quaternion unit within 1e-12."""
+    out = tmp_path / "noisy.sol"
+    code = main([command, str(problems[name]), "-o", str(out)])
+    sol = files.parse_solution(out)
+    assert code == (0 if sol["status"] == opt.STATUS_CONVERGED else 3)
+    assert sol["solution"].shape == (rows, 7)
+    np.testing.assert_allclose(np.linalg.norm(sol["solution"][:, :4], axis=1), 1.0,
+                               rtol=0, atol=1e-12)
+
+
+def test_zero_rotation_simulate_exit_code(tmp_path):
+    """The zero rotation at every step: the float loop's |pv| = 0 branch
+    runs 4·10⁴ times, and a division by |pv| there would make it exit 3."""
+    out = tmp_path / "zero.txt"
+    argv = ["simulate", "--start=1,0,0,0,0,0,0", "--target=1,0,0,0,0.5,-0.3,0.2",
+            "--steps", "10000", "-o", str(out)]
+    assert main(argv) == 0
+    table = np.loadtxt(out, skiprows=2)
+    np.testing.assert_array_equal(table[:, 1:5], np.tile([1.0, 0.0, 0.0, 0.0], (10_001, 1)))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["probe"], 0),
+        (["calibrate", "PROBLEM"], 2),
+        (["simulate", "--start=1,0,0,0,0,0,0", "--target=0.6,0.8,0,0,0.5,-0.3,0.2",
+          "--dt", "10", "--steps", "30"], 3),
+    ],
+    ids=["exit-0", "exit-2", "exit-3"],
+)
+def test_python_m_auquat_exit_code(tmp_path, argv, code):
+    """__main__ hands main's return value to sys.exit in a fresh interpreter
+    where a RuntimeWarning is an error, as it is under pytest: the problem
+    file is the overflowing one, which is refused, not raised as a warning."""
+    problem = tmp_path / "p.txt"
+    problem.write_text(_WRITTEN["huge-pairs"])
+    argv = [str(problem) if arg == "PROBLEM" else arg for arg in argv]
+    src = str(Path(auquat.__file__).parents[1])
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "auquat", *argv, "-o", str(tmp_path / "out.txt")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == code, run.stderr
+    assert run.stderr.startswith("error: ") if code else run.stderr == ""
 
 
 # identity rotations, b_t = R(x)^T a_t for x = 90 degrees about z: x's

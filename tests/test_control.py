@@ -16,9 +16,7 @@ N_SAMPLES = 10_000
 
 
 def _rand_auq(n=None, rng=RNG):
-    q = qt.random_unit(rng, n)
-    t = rng.uniform(-1.0, 1.0, (3,) if n is None else (n, 3))
-    return np.concatenate([q, t], axis=-1)
+    return aug.random_auq(rng, n)
 
 
 def _rand_gains(rng=RNG):
@@ -449,6 +447,12 @@ def test_rising_lyapunov_function_is_a_diverged_step():
     gains = ctl.Gains(np.ones(3), np.ones(3))
     with pytest.raises(StepDiverged, match=r"at step 1: dt = 2\.5 is too large for the gains$"):
         ctl.integrate(aug.IDENTITY, xd, gains, 2.5, 200)
+    # the same plant between two that settle at once: the batch raises as
+    # that plant's own integrate run does, naming it
+    x0, targets = np.tile(aug.IDENTITY, (3, 1)), np.stack([aug.IDENTITY, xd, aug.IDENTITY])
+    with pytest.raises(StepDiverged, match=r"^plant 1: V rose from 1\.23988 to 23\.8961 at "
+                                           r"step 1: dt = 2\.5 is too large for the gains$"):
+        ctl.integrate_batch(x0, targets, np.ones(3), np.ones(3), 2.5, 200)
     assert np.all(np.diff(ctl.integrate(aug.IDENTITY, xd, gains, 2.0, 200).V) < 0.0)
     # the twist dynamics may raise V transiently and are not checked
     twist = ctl.integrate(aug.IDENTITY, xd, gains, 2.5, 200, dynamics=ctl.DYNAMICS_TWIST)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,7 @@ def test_discontinuity_report():
         motion.discontinuity_report([0.0, 0.0, 0.0], [1e-6])
     with pytest.raises(ValueError, match="at least one offset"):
         motion.discontinuity_report([0.0, 0.0, 1.0], [])
+    assert motion.discontinuity_report([0.0, 0.0, 1.0], [np.pi]).shape == (1, 3)
 
 
 @pytest.mark.parametrize(
@@ -214,10 +217,11 @@ def test_discontinuity_report():
         (lambda: motion.Motion(np.zeros(2), np.zeros(3)), "motion parts must be 3-vectors"),
         (lambda: motion.Motion(np.zeros(3), np.zeros((1, 3))), "motion parts must be 3-vectors"),
         *[(lambda d=d: motion.discontinuity_report([0.0, 0.0, 1.0], [1e-3, d]),
-           "offsets must be positive and finite") for d in (0.0, -1.0, np.inf, np.nan)],
+           "offsets must lie in (0, pi]") for d in (0.0, -1.0, np.inf, np.nan, 4.0, 10.0)],
     ],
-    ids=["rotvec-2", "translation-1x3", "offset-0", "offset-negative", "offset-inf", "offset-nan"],
+    ids=["rotvec-2", "translation-1x3", "offset-0", "offset-negative", "offset-inf", "offset-nan",
+         "offset-4", "offset-10"],
 )
 def test_motion_refusals_name_the_input(build, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
