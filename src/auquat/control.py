@@ -409,8 +409,8 @@ def integrate_batch(
     as integrate keeps them, so each plant's V equals its integrate V.
     A batch raises StepDiverged when some plant's own integrate run
     would: at a non-finite state and, for exponential dynamics, at a rise
-    of V, whose message names the lowest plant rising at the earliest
-    such step.
+    of V; the message names the lowest plant that is non-finite, or
+    rising, at the earliest such step.
     """
     x0, xd = np.asarray(x0, dtype=float), np.asarray(xd, dtype=float)
     if x0.ndim != 2 or len(x0) < 1 or xd.shape != x0.shape:  # _start checks the 7 columns
@@ -456,7 +456,8 @@ def integrate_batch(
                 # the first non-finite kept state is the diverged step
                 bad = np.flatnonzero(~np.isfinite(block[: j + 1]).all(axis=(1, 2)))
                 if bad.size:
-                    raise StepDiverged(f"non-finite state at step {i - j + bad[0]}")
+                    plant = np.flatnonzero(~np.isfinite(block[bad[0]]).all(axis=1))[0]
+                    raise StepDiverged(f"plant {plant}: non-finite state at step {i - j + bad[0]}")
                 with np.errstate(**err):
                     V[:, i - j : i + 1] = lyapunov(block[: j + 1].reshape(-1, 7),
                                                    weights).reshape(j + 1, -1).T

@@ -10,11 +10,21 @@ with '#' are comments; fields may be separated by whitespace or commas.
   truth      TRUTH <7> per unknown, or TRUTH <id> <7> per vertex
   solution   STATUS <s>, OBJECTIVE <v>, then SOLUTION <7> or VERTEX lines
   trace      header row, then: time, 7 error-state components, V
+
+A file is read in one pass: its text is read whole, comments and commas
+are dropped from it at once, and it is split into lines as the file
+iterator splits them.  Each line is checked as a record (keyword, field
+count, indices) and its value fields kept as words; each record kind's
+words are then converted by one `float` pass into one array.  Only when
+a file is refused are its records looked at one by one, to name the
+first bad line in file order.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import re
 
 import numpy as np
 
@@ -56,42 +66,81 @@ def _write(path, lines) -> None:
         fh.writelines(f"{line}\n" for line in lines)
 
 
-def _records(path, layouts):
-    """Yield (line_number, keyword, indices, values) per content line.  A
-    record needs a keyword of `layouts`, the field count of one of its forms,
-    nonnegative integer indices and float values (a list), else its line is named."""
+def _read(path, layouts) -> tuple[dict, ParseError | None]:
+    """Read the records of `layouts` from the file at `path` in one pass.
+
+    Returns, per keyword, the line numbers of its records, their index
+    fields as integers (a tuple per record) and their values, one (n, v)
+    float array (for STATUS, its words), and the error of the first bad
+    line, or None; with an error, only the records above its line.  A
+    record needs a keyword of `layouts`, the field count of one of its
+    forms, nonnegative integer indices and float values."""
     forms_of = {kw: {i + v: i for i, v in forms} for kw, forms in layouts.items()}
+    found = {kw: ([], [], []) for kw in layouts}  # line numbers, indices, value words
+    error = None
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split("#", 1)[0].replace(",", " ").split()
-            if not parts:
-                continue
-            keyword, fields = parts[0].upper(), parts[1:]
-            forms = forms_of.get(keyword)
-            if forms is None:
-                raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
-            if len(fields) not in forms:
-                counts = " or ".join(map(str, forms))
-                noun = "field" if counts == "1" else "fields"
-                raise ParseError(f"expected {counts} {noun} after {keyword}, got {len(fields)}",
-                                 path, line_no)
-            n_index = forms[len(fields)]
-            indices = [int(p) if p.isdecimal() else -1 for p in fields[:n_index]]
-            if min(indices, default=0) < 0:
-                raise ParseError(f"expected nonnegative integer indices, got "
-                                 f"{' '.join(fields[:n_index])!r}", path, line_no)
-            values = fields[n_index:]
-            if keyword != "STATUS":
+        text = fh.read()
+    # comments and commas go in one pass each; then lines split as the file iterator splits them
+    lines = re.sub("#[^\n]*", "", text).replace(",", " ").split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        keyword, n_fields = parts[0].upper(), len(parts) - 1
+        forms = forms_of.get(keyword)
+        if forms is None:
+            error = ParseError(f"unknown record {parts[0]!r}", path, line_no)
+            break
+        if n_fields not in forms:
+            counts = " or ".join(map(str, forms))
+            noun = "field" if counts == "1" else "fields"
+            error = ParseError(f"expected {counts} {noun} after {keyword}, got {n_fields}",
+                               path, line_no)
+            break
+        line_nos, indices, words = found[keyword]
+        n_index = forms[n_fields]
+        if n_index:
+            fields = parts[1 : 1 + n_index]
+            if not all(p.isdecimal() for p in fields):
+                error = ParseError(f"expected nonnegative integer indices, got "
+                                   f"{' '.join(fields)!r}", path, line_no)
+                break
+            indices.append(tuple(map(int, fields)))
+        else:
+            indices.append(())
+        line_nos.append(line_no)
+        words += parts[1 + n_index :]
+
+    def values(keyword, words):  # one float pass: an (n, v) array; STATUS keeps its words
+        if keyword == "STATUS":
+            return words
+        flat = np.fromiter(map(float, words), float, len(words))
+        return flat.reshape(-1, layouts[keyword][0][1])
+
+    records = {}
+    for keyword, (line_nos, indices, words) in found.items():
+        try:
+            records[keyword] = line_nos, indices, values(keyword, words)
+        except ValueError:  # name the first record with a bad value, if above the error so far
+            width = len(words) // len(line_nos)
+            for line_no, k in zip(line_nos, range(0, len(words), width)):
                 try:
-                    values = list(map(float, values))
+                    values(keyword, words[k : k + width])
                 except ValueError as exc:
-                    raise ParseError(str(exc), path, line_no) from exc
-            yield line_no, keyword, indices, values
+                    if error is None or line_no < error.line:
+                        error = ParseError(str(exc), path, line_no)
+                    break
+    if error is not None:
+        for keyword, (line_nos, indices, words) in found.items():
+            n = bisect.bisect_left(line_nos, error.line)
+            width = len(words) // max(len(line_nos), 1)
+            records[keyword] = line_nos[:n], indices[:n], values(keyword, words[: n * width])
+    return records, error
 
 
-def _by_index(rows, path) -> dict[int, list[float]]:
+def _by_index(rows, path) -> dict[int, np.ndarray]:
     """Collect (index, pose, line_number) rows by index, each index once."""
-    poses: dict[int, list[float]] = {}
+    poses: dict[int, np.ndarray] = {}
     for i, pose, line_no in rows:
         if i in poses:
             raise ParseError(f"pose index {i} is repeated", path, line_no)
@@ -122,34 +171,28 @@ def write_problem(path, problem: Problem) -> None:
 def parse_problem_file(path, world: bool = False) -> Problem:
     """Parse a problem file; PAIR files yield the hand-eye problem, or the
     two-unknown variant when world=True."""
-    sigma, sigma_line = 1.0, None
-    pairs: list[list[float]] = []
-    edges: list[list[int]] = []
-    measurements: list[list[float]] = []
-    vertex_rows: list[tuple[int, list[float], int]] = []
-    for line_no, keyword, indices, values in _records(path, _PROBLEM):
-        if keyword == "SIGMA":
-            if not 0.0 < values[0] < np.inf:
-                raise ParseError("sigma must be positive and finite", path, line_no)
-            if sigma_line is not None:
-                raise ParseError(f"SIGMA is repeated (first on line {sigma_line})", path, line_no)
-            sigma, sigma_line = float(values[0]), line_no
-        elif keyword == "PAIR":
-            pairs.append(values)
-        elif keyword == "EDGE":
-            edges.append(indices)
-            measurements.append(values)
-        else:  # VERTEX
-            vertex_rows.append((indices[0], values, line_no))
-    vertices = _by_index(vertex_rows, path)
+    records, error = _read(path, _PROBLEM)
+    sigma_lines, _, sigmas = records["SIGMA"]
+    for k, line_no in enumerate(sigma_lines):  # above the bad line, if any
+        if not 0.0 < sigmas[k, 0] < np.inf:
+            raise ParseError("sigma must be positive and finite", path, line_no)
+        if k:
+            raise ParseError(f"SIGMA is repeated (first on line {sigma_lines[0]})", path, line_no)
+    if error is not None:
+        raise error
+    sigma = float(sigmas[0, 0]) if sigma_lines else 1.0
+    pairs = records["PAIR"][2]
+    _, edges, measurements = records["EDGE"]
+    vertex_lines, vertex_indices, vertex_poses = records["VERTEX"]
+    vertices = _by_index(((i, pose, line_no) for (i,), pose, line_no
+                          in zip(vertex_indices, vertex_poses, vertex_lines)), path)
 
-    if pairs and (edges or vertices):
+    if len(pairs) and (edges or vertices):
         raise ParseError("PAIR and EDGE/VERTEX records cannot be mixed", path)
     try:
-        if pairs:
-            stacked = np.array(pairs)
+        if len(pairs):
             cls = HandEyeWorldProblem if world else HandEyeProblem
-            return cls(a=stacked[:, :7], b=stacked[:, 7:], sigma=sigma)
+            return cls(a=pairs[:, :7], b=pairs[:, 7:], sigma=sigma)
         if not edges:
             raise ParseError("no measurements found", path)
         edges, initial = np.array(edges), None
@@ -163,25 +206,26 @@ def parse_problem_file(path, world: bool = False) -> Problem:
         if edges.dtype == object:
             # an index past int64; capped at 2m, the first vertex in no edge stays the same
             edges = np.minimum(edges, edges.size).astype(int)
-        return PoseGraphProblem(edges=edges, measurements=np.array(measurements), sigma=sigma,
+        return PoseGraphProblem(edges=edges, measurements=measurements, sigma=sigma,
                                 initial=initial)
     except ParseError:
         raise
     except ValueError as exc:
-        _raise_first_bad_record(path)
+        _raise_first_bad_record(path, records)
         raise ParseError(str(exc), path) from exc
 
 
-def _raise_first_bad_record(path) -> None:
+def _raise_first_bad_record(path, records) -> None:
     """Name the line of the first problem record that is invalid on its own:
     a self loop, or a pose that is not finite and unit.  Runs only once the
-    whole file has been refused, so valid files are read once."""
-    for line_no, keyword, indices, values in _records(path, _PROBLEM):
+    whole file has been refused, so valid files are checked once."""
+    rows = sorted((line_no, keyword, indices, values) for keyword, found in records.items()
+                  if keyword != "SIGMA" for line_no, indices, values in zip(*found))
+    for line_no, keyword, indices, values in rows:
         try:
             if keyword == "EDGE" and indices[0] == indices[1]:
                 raise ValueError("self loops are not allowed")
-            if keyword != "SIGMA":
-                aug.as_auq(np.reshape(values, (-1, 7)))
+            aug.as_auq(np.reshape(values, (-1, 7)))
         except ValueError as exc:
             raise ParseError(str(exc), path, line_no) from None
 
@@ -194,10 +238,11 @@ def write_truth(path, truth, indexed: bool = False) -> None:
 
 
 def parse_truth(path) -> np.ndarray:
-    rows = [
-        (indices[0] if indices else k, pose, line_no)
-        for k, (line_no, _, indices, pose) in enumerate(_records(path, _TRUTH))
-    ]
+    records, error = _read(path, _TRUTH)
+    if error is not None:
+        raise error
+    rows = [(indices[0] if indices else k, pose, line_no)
+            for k, (line_no, indices, pose) in enumerate(zip(*records["TRUTH"]))]
     if not rows:
         raise ParseError("no TRUTH records found", path)
     return _indexed_poses(rows, path)
@@ -214,18 +259,18 @@ def write_solution(path, result: SolveResult, problem: Problem) -> None:
 
 
 def parse_solution(path) -> dict:
-    status = objective = None
-    rows: list[tuple[int, list[float], int]] = []
-    for line_no, keyword, indices, values in _records(path, _SOLUTION):
-        if keyword == "STATUS":
-            status = values[0]
-        elif keyword == "OBJECTIVE":
-            objective = float(values[0])
-        else:  # SOLUTION or VERTEX
-            rows.append((indices[0] if indices else len(rows), values, line_no))
+    records, error = _read(path, _SOLUTION)
+    if error is not None:
+        raise error
+    status, objective = records["STATUS"][2], records["OBJECTIVE"][2]
+    poses = sorted([*zip(*records["SOLUTION"]), *zip(*records["VERTEX"])])  # in file order
+    rows = [(indices[0] if indices else k, pose, line_no)
+            for k, (line_no, indices, pose) in enumerate(poses)]
     if not rows:
         raise ParseError("no solution records found", path)
-    return {"status": status, "objective": objective, "solution": _indexed_poses(rows, path)}
+    return {"status": status[-1] if status else None,
+            "objective": float(objective[-1, 0]) if len(objective) else None,
+            "solution": _indexed_poses(rows, path)}
 
 
 def write_trace(path, trace: ControlTrace) -> None:

@@ -32,6 +32,15 @@ Rm(b) and R(b)^T): `residuals` is a few batched products, and
 `linearize` fills in only the 3x4 block d(R(q)^T t_a)/dq.  The tangent
 Jacobian is one dense (7m, 6s) matrix, so H and g are one product each.
 
+Nothing that does not depend on x is formed twice.  Each problem forms
+once the component weights W and sqrt(W) and, for hand-eye, one ambient
+Jacobian buffer (holding the pair matrices) and the (7s, 6s)
+block-diagonal lift [[B, 0], [0, I]] with its I blocks.  An assembly
+rewrites only the 3x4 block 2 G(t_a) q of each pair in the buffer and the
+bases B in the lift; the tangent Jacobian, H and g are new arrays, which
+the caller owns, as are those `linearize` returns.  So one hand-eye
+problem object is not for two threads at once.
+
 A pose-graph residual takes one quaternion product and no inverse, and
 its tangent blocks are closed-form (`_slam_blocks`).  g and H are summed
 from them at positions fixed per problem; `linearize` reads the ambient
@@ -55,6 +64,7 @@ start to the identity, and no step moves them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import deque
 from collections.abc import Callable
@@ -90,6 +100,16 @@ def _free_blocks(problem) -> np.ndarray:
     return np.setdiff1d(np.arange(problem.n_blocks), problem.gauge)
 
 
+def _component_weights(problem) -> np.ndarray:
+    """The weights W of the residual components: 1 for the quaternion, sigma
+    for the translation."""
+    return np.array([1.0] * 4 + [problem.sigma] * 3)
+
+
+def _sqrt_component_weights(problem) -> np.ndarray:
+    return np.sqrt(problem._weights)
+
+
 def _tangent_bases(p) -> np.ndarray:
     """The orthonormal bases (..., 4, 3) L(p)[:, 1:] of the tangent spaces of
     S^3 at unit p: the right perturbations, B delta = p [0, delta]."""
@@ -108,8 +128,9 @@ class HandEyeProblem:
     b: np.ndarray
     sigma: float = 1.0
     n_blocks = 1
-    gauge = np.zeros(0, dtype=int)  # no held blocks
-    _free = cached_property(_free_blocks)
+    gauge = np.zeros(0, dtype=int)  # no held blocks: every block is free
+    _weights = cached_property(_component_weights)
+    _sqrt_weights = cached_property(_sqrt_component_weights)
 
     def __post_init__(self):
         self.a = _unit_blocks(self.a, "a")
@@ -130,19 +151,25 @@ class HandEyeProblem:
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self._kernel.cols, self._kernel.jacobian(x)
 
+    @cached_property
+    def _lift(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (7s, 6s) block-diagonal [[B, 0], [0, I]] of the s blocks, its I
+        blocks written once, and the (s, 4, 3) view of its B blocks, which
+        each assembly rewrites."""
+        s = self.n_blocks
+        lift = np.zeros((s, 7, s, 6))
+        diagonal = np.einsum("bibj->bij", lift)  # a writable view of the blocks (b, :, b, :)
+        diagonal[:, 4:, 3:] = np.eye(3)
+        return lift.reshape(7 * s, 6 * s), diagonal[:, :4, :3]
+
     def normal_equations(self, x, z) -> tuple[Callable[[], np.ndarray], np.ndarray]:
-        """The sqrt(W)-weighted tangent Jacobian J of the free blocks is one
-        dense (7m, 6k) matrix, so H and g are one product each."""
-        free, k = self._free, len(self._free)
-        sqrt_w = np.sqrt(_component_weights(self))
-        _, jac = self.linearize(x)
-        # the (7m, 7s) ambient Jacobian times block-diagonal [[basis, 0], [0, I]] (free blocks)
-        tangent = np.zeros((self.n_blocks, 7, k, 6))
-        tangent[free, :4, np.arange(k), :3] = _tangent_bases(x[free, :4])
-        tangent[free, 4:, np.arange(k), 3:] = np.eye(3)
-        jt = np.swapaxes(jac, 1, 2).reshape(7 * len(z), -1) @ tangent.reshape(-1, 6 * k)
-        jt.reshape(len(z), 7, 6 * k)[...] *= sqrt_w[:, None]  # weighted in place, through a view
-        return (lambda: jt.T @ jt), ((z * sqrt_w).ravel() @ jt).reshape(k, 6)
+        """The sqrt(W)-weighted tangent Jacobian J of the blocks is one dense
+        (7m, 6s) matrix, so H and g are one product each."""
+        lift, bases = self._lift
+        bases[...] = _tangent_bases(x[:, :4])
+        jt = self._kernel.dense_jacobian(x) @ lift
+        jt.reshape(len(z), 7, -1)[...] *= self._sqrt_weights[:, None]  # in place, through a view
+        return (lambda: jt.T @ jt), ((z * self._sqrt_weights).ravel() @ jt).reshape(-1, 6)
 
     def initial_guess(self) -> np.ndarray:
         return np.tile(aug.identity(), (self.n_blocks, 1))
@@ -179,6 +206,8 @@ class PoseGraphProblem:
     sigma: float = 1.0
     initial: np.ndarray | None = None
     n: int = field(init=False)
+    _weights = cached_property(_component_weights)
+    _sqrt_weights = cached_property(_sqrt_component_weights)
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges)
@@ -266,7 +295,7 @@ class PoseGraphProblem:
         """g and H summed from the 6x6 tangent blocks of every edge, which
         `_slam_blocks` writes in the bases `_tangent_bases` of the blocks."""
         free, slots = self._slots
-        k, sqrt_w = len(free), np.sqrt(_component_weights(self))
+        k, sqrt_w = len(free), self._sqrt_weights
         xi = x[self.edges[:, 0]]
         jt = _slam_blocks(xi[:, 4:], *_slam_kernel(xi, x[self.edges[:, 1]]))
         jt *= sqrt_w[:, None]
@@ -323,23 +352,36 @@ class _PairKernel:
         self.batch = lin.shape[:-3]
         self.cols = np.broadcast_to(np.arange(s), self.batch + (s,))
         self._rows = np.ascontiguousarray(np.swapaxes(lin, -3, -2))
+        self._dense = self._rows.reshape(-1, 7 * s)
         self._forms = quat.rot_T_forms(a[..., 4:]).reshape(-1, 4)  # (12 m, 4)
         self._t_b = b[..., 4:]
 
     def residuals(self, x) -> np.ndarray:
         """The (..., 7) residuals at the (s, 7) pose blocks x."""
         q = x[0, :4]
-        z = (self._rows.reshape(-1, x.size) @ x.ravel()).reshape(self.batch + (7,))
-        z[..., 4:] += (np.reshape(self._forms @ q, (-1, 4)) @ q).reshape(self.batch + (3,))
+        z = (self._dense @ x.ravel()).reshape(self.batch + (7,))
+        z[..., 4:] += ((self._forms @ q).reshape(-1, 4) @ q).reshape(self.batch + (3,))
         z[..., 4:] -= self._t_b
         return z
 
-    def jacobian(self, x) -> np.ndarray:
-        """The (..., s, 7, 7) ambient Jacobians dz/dx at x: lin with x's
-        translation-by-quaternion block filled in."""
-        jac = self._rows.copy()
+    def _fill(self, jac, x) -> np.ndarray:
+        """jac, laid out as lin, with x's translation-by-quaternion block at x."""
         jac[..., 4:, 0, :4] = 2.0 * (self._forms @ x[0, :4]).reshape(self.batch + (3, 4))
-        return np.swapaxes(jac, -3, -2)
+        return jac
+
+    def jacobian(self, x) -> np.ndarray:
+        """The (..., s, 7, 7) ambient Jacobians dz/dx at x, a new array."""
+        return np.swapaxes(self._fill(self._rows.copy(), x), -3, -2)
+
+    @cached_property
+    def _jac(self) -> np.ndarray:
+        """The one buffer `dense_jacobian` rewrites, made at its first call."""
+        return self._rows.copy()
+
+    def dense_jacobian(self, x) -> np.ndarray:
+        """The ambient Jacobian at x as one dense (7m, 7s) matrix, row-major in
+        the residual components: the kernel's buffer, valid until the next call."""
+        return self._fill(self._jac, x).reshape(self._dense.shape)
 
 
 def _jacobian(qq, tt) -> np.ndarray:
@@ -458,15 +500,11 @@ def residuals(problem: Problem, x) -> np.ndarray:
     return problem.residuals(_as_blocks(problem, x))
 
 
-def _component_weights(problem: Problem) -> np.ndarray:
-    return np.array([1.0] * 4 + [problem.sigma] * 3)
-
-
 def _evaluate(problem: Problem, x) -> tuple[np.ndarray, float]:
     """The residuals z at x and the objective f they give."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, handled by callers
         z = residuals(problem, x)
-        return z, 0.5 * float(np.sum((z * z) @ _component_weights(problem)))
+        return z, 0.5 * float(((z * z) @ problem._weights).sum())
 
 
 def objective(problem: Problem, x) -> float:
@@ -545,9 +583,16 @@ class SolveResult(RestartRecord):
 
 
 def _retract(x) -> np.ndarray:
-    out = x.copy()
-    out[:, :4] /= np.linalg.norm(out[:, :4], axis=-1, keepdims=True)
-    return out
+    """x with every quaternion block renormalized, in place."""
+    q = x[:, :4]
+    q /= np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
+    return x
+
+
+def _norm(g) -> float:
+    """The Euclidean norm of g, as np.linalg.norm(g) computes it."""
+    g = g.ravel()
+    return math.sqrt(g.dot(g))
 
 
 def _check_init(problem: Problem, init) -> np.ndarray:
@@ -583,17 +628,18 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         raise NonFiniteObjective("objective is not finite at the initial point")
     free = _free_blocks(problem)
     hessian, grad = problem.normal_equations(x, z)
+    g_norm = _norm(grad)
+    step = np.zeros_like(x)  # zero on the held blocks throughout
     iterations = 0
     status = STATUS_STALLED
     for _ in range(cfg.max_iters):
-        if np.linalg.norm(grad) <= cfg.grad_tol:
+        if g_norm <= cfg.grad_tol:
             break
         delta = _gauss_newton_step(hessian(), grad)
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             break
-        step = np.zeros_like(x)
-        bases = _tangent_bases(x[free, :4])
-        step[free] = np.hstack([np.einsum("kij,kj->ki", bases, delta[:, :3]), delta[:, 3:]])
+        step[free, :4] = np.einsum("kij,kj->ki", _tangent_bases(x[free, :4]), delta[:, :3])
+        step[free, 4:] = delta[:, 3:]
         alpha = 1.0
         while alpha >= 2.0 ** -24:
             x_new = _retract(x + alpha * step)
@@ -607,12 +653,12 @@ def _descend(problem: Problem, x, cfg: SolverConfig) -> RestartRecord:
         x, z, f = x_new, z_new, f_new
         iterations += 1
         hessian, grad = problem.normal_equations(x, z)
+        g_norm = _norm(grad)
         if improvement <= 1e-15 * f:
             break
     else:  # the cap was spent
         status = STATUS_MAX_ITERS
 
-    g_norm = float(np.linalg.norm(grad))
     if g_norm <= cfg.grad_tol:
         status = STATUS_CONVERGED
     return RestartRecord(x, f, g_norm, iterations, status)

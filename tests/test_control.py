@@ -425,6 +425,12 @@ def test_near_branch_flagging():
 def test_diverging_step_raises():
     with pytest.raises(StepDiverged):
         ctl.integrate(_rand_auq(), _rand_auq(), _rand_gains(), dt=1e300, steps=5)
+    # the one plant that leaves the identity, between two that start settled:
+    # the batch names it, as it names a plant whose V rises
+    xd = np.array([0.6, 0.8, 0.0, 0.0, 0.5, -0.3, 0.2])
+    x0, targets = np.tile(aug.IDENTITY, (3, 1)), np.stack([aug.IDENTITY, xd, aug.IDENTITY])
+    with pytest.raises(StepDiverged, match=r"^plant 1: non-finite state at step 1$"):
+        ctl.integrate_batch(x0, targets, np.ones(3), np.ones(3), 1e300, 5)
 
 
 @pytest.mark.parametrize("dynamics", [ctl.DYNAMICS_EXPONENTIAL, ctl.DYNAMICS_TWIST])

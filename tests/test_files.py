@@ -2,7 +2,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from auquat import augmented as aug
 from auquat import files
 from auquat import optimization as opt
 from auquat.control import Gains, integrate
@@ -296,3 +299,229 @@ def test_seventeen_digit_roundtrip(tmp_path):
     files.write_problem(path, problem)
     back = files.parse_problem_file(path)
     np.testing.assert_array_equal(back.a[0], problem.a[0])
+
+
+# reference: the per-line reader that the one-pass reader replaced, and the
+# parse functions over it, kept as they were
+def _per_line_records(path, layouts):
+    forms_of = {kw: {i + v: i for i, v in forms} for kw, forms in layouts.items()}
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            parts = line.split("#", 1)[0].replace(",", " ").split()
+            if not parts:
+                continue
+            keyword, fields = parts[0].upper(), parts[1:]
+            forms = forms_of.get(keyword)
+            if forms is None:
+                raise ParseError(f"unknown record {parts[0]!r}", path, line_no)
+            if len(fields) not in forms:
+                counts = " or ".join(map(str, forms))
+                noun = "field" if counts == "1" else "fields"
+                raise ParseError(f"expected {counts} {noun} after {keyword}, got {len(fields)}",
+                                 path, line_no)
+            n_index = forms[len(fields)]
+            indices = [int(p) if p.isdecimal() else -1 for p in fields[:n_index]]
+            if min(indices, default=0) < 0:
+                raise ParseError(f"expected nonnegative integer indices, got "
+                                 f"{' '.join(fields[:n_index])!r}", path, line_no)
+            values = fields[n_index:]
+            if keyword != "STATUS":
+                try:
+                    values = list(map(float, values))
+                except ValueError as exc:
+                    raise ParseError(str(exc), path, line_no) from exc
+            yield line_no, keyword, indices, values
+
+
+def _per_line_problem(path, world=False):
+    sigma, sigma_line = 1.0, None
+    pairs, edges, measurements, vertex_rows = [], [], [], []
+    for line_no, keyword, indices, values in _per_line_records(path, files._PROBLEM):
+        if keyword == "SIGMA":
+            if not 0.0 < values[0] < np.inf:
+                raise ParseError("sigma must be positive and finite", path, line_no)
+            if sigma_line is not None:
+                raise ParseError(f"SIGMA is repeated (first on line {sigma_line})", path, line_no)
+            sigma, sigma_line = float(values[0]), line_no
+        elif keyword == "PAIR":
+            pairs.append(values)
+        elif keyword == "EDGE":
+            edges.append(indices)
+            measurements.append(values)
+        else:
+            vertex_rows.append((indices[0], values, line_no))
+    vertices = files._by_index(vertex_rows, path)
+    if pairs and (edges or vertices):
+        raise ParseError("PAIR and EDGE/VERTEX records cannot be mixed", path)
+    try:
+        if pairs:
+            stacked = np.array(pairs)
+            cls = opt.HandEyeWorldProblem if world else opt.HandEyeProblem
+            return cls(a=stacked[:, :7], b=stacked[:, 7:], sigma=sigma)
+        if not edges:
+            raise ParseError("no measurements found", path)
+        edges, initial = np.array(edges), None
+        if vertices:
+            n = edges.max() + 1
+            if max(vertices) >= n:
+                raise ValueError(f"vertex {max(vertices)} is in no EDGE record")
+            if n <= edges.size:
+                initial = np.tile(aug.identity(), (n, 1))
+                initial[list(vertices)] = list(vertices.values())
+        if edges.dtype == object:
+            edges = np.minimum(edges, edges.size).astype(int)
+        return opt.PoseGraphProblem(edges=edges, measurements=np.array(measurements),
+                                    sigma=sigma, initial=initial)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        for line_no, keyword, indices, values in _per_line_records(path, files._PROBLEM):
+            try:
+                if keyword == "EDGE" and indices[0] == indices[1]:
+                    raise ValueError("self loops are not allowed") from None
+                if keyword != "SIGMA":
+                    aug.as_auq(np.reshape(values, (-1, 7)))
+            except ValueError as bad:
+                raise ParseError(str(bad), path, line_no) from None
+        raise ParseError(str(exc), path) from exc
+
+
+def _per_line_truth(path):
+    rows = [(indices[0] if indices else k, pose, line_no)
+            for k, (line_no, _, indices, pose) in enumerate(_per_line_records(path, files._TRUTH))]
+    if not rows:
+        raise ParseError("no TRUTH records found", path)
+    return files._indexed_poses(rows, path)
+
+
+def _per_line_solution(path):
+    status = objective = None
+    rows = []
+    for line_no, keyword, indices, values in _per_line_records(path, files._SOLUTION):
+        if keyword == "STATUS":
+            status = values[0]
+        elif keyword == "OBJECTIVE":
+            objective = float(values[0])
+        else:
+            rows.append((indices[0] if indices else len(rows), values, line_no))
+    if not rows:
+        raise ParseError("no solution records found", path)
+    return {"status": status, "objective": objective, "solution": files._indexed_poses(rows, path)}
+
+
+def _outcome(parse, path):
+    """What a reader makes of a file: its error's type, text and line, or its
+    result's class and every array's dtype and bytes."""
+    try:
+        result = parse(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    fields = result if isinstance(result, dict) else {"result": result}
+    if isinstance(result, (opt.HandEyeProblem, opt.PoseGraphProblem)):
+        fields = {"class": type(result).__name__, "sigma": result.sigma, **{
+            name: getattr(result, name, None)
+            for name in ("a", "b", "edges", "measurements", "initial")}}
+    return {name: (value.dtype.str, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray) else value for name, value in fields.items()}
+
+
+_READERS = {
+    "problem": (files.parse_problem_file, _per_line_problem),
+    "world": (lambda path: files.parse_problem_file(path, world=True),
+              lambda path: _per_line_problem(path, world=True)),
+    "truth": (files.parse_truth, _per_line_truth),
+    "solution": (files.parse_solution, _per_line_solution),
+}
+
+
+def _pose_words(pose):
+    return [repr(float(v)) for v in pose]
+
+
+def _records_of(kind, seed, n):
+    """(keyword, fields) records of a valid file of `kind`, poses from `seed`."""
+    poses = random_auq(seed, n=2 * n + 2)
+    if kind in ("problem", "world") and seed % 2:
+        return [("PAIR", _pose_words(poses[k]) + _pose_words(poses[n + k])) for k in range(n)]
+    if kind in ("problem", "world"):
+        graph, _ = gen_posegraph(n=n + 2, loop_edges=n, seed=seed)
+        records = [("EDGE", [str(i), str(j)] + _pose_words(y))
+                   for (i, j), y in zip(graph.edges, graph.measurements)]
+        if seed % 3:
+            records += [("VERTEX", [str(i)] + _pose_words(poses[i])) for i in range(graph.n)]
+        return records
+    if kind == "truth":
+        if seed % 2:
+            return [("TRUTH", _pose_words(poses[k])) for k in range(n)]
+        return [("TRUTH", [str(k)] + _pose_words(poses[k])) for k in range(n)]
+    poses_kw = "SOLUTION" if seed % 2 else "VERTEX"
+    records = [("STATUS", ["stalled"]), ("OBJECTIVE", [repr(seed / 7.0)])]
+    return records + [(poses_kw, ([] if seed % 2 else [str(k)]) + _pose_words(poses[k]))
+                      for k in range(n)]
+
+
+_CORRUPTIONS = ["keyword", "drop-field", "add-field", "bad-index", "negative-index",
+                "huge-index", "bad-float", "sigma", "sigma-zero"]
+
+
+def _corrupt(records, how, at):
+    """records with record `at` corrupted `how` (a SIGMA line, repeated or
+    zero, is inserted there)."""
+    records = list(records)
+    keyword, fields = records[at]
+    if how == "keyword":
+        records[at] = ("POSE", fields)
+    elif how == "drop-field":
+        records[at] = (keyword, fields[:-1])
+    elif how == "add-field":
+        records[at] = (keyword, fields + ["0"])
+    elif how in ("bad-index", "negative-index", "huge-index"):
+        word = {"bad-index": "1.0", "negative-index": "-1",
+                "huge-index": "100000000000000000000000000000"}[how]
+        records[at] = (keyword, [word] + fields[1:] if fields[:1] and fields[0].isdecimal()
+                       else fields)
+    elif how == "bad-float":
+        records[at] = (keyword, fields[:-1] + ["1.0.0"])
+    else:
+        records.insert(at, ("SIGMA", ["2" if how == "sigma" else "0"]))
+    return records
+
+
+def _file_text(records, draw_style):
+    """The records as text: each keyword in a drawn case, fields split by
+    spaces or commas, with comments, blank lines and CRLF endings drawn."""
+    lines = [files._HEADER]
+    for keyword, fields in records:
+        case, sep, comment, blank = draw_style()
+        word = {"upper": keyword, "lower": keyword.lower(), "title": keyword.title()}[case]
+        line = " ".join([word, sep.join(fields)]) if fields else word
+        if comment:
+            line += " # a comment, with commas"
+        lines += [""] * blank + [line]
+    return lines
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_READERS)), st.integers(0, 2**16), st.integers(1, 6), st.data())
+def test_one_pass_reader_matches_the_per_line_reader(tmp_path, kind, seed, n, data):
+    """Valid files give byte-equal arrays and the same problem class; files
+    with one or more corrupted lines give the same ParseError text and line."""
+    records = _records_of(kind, seed, n)
+    if kind in ("problem", "world") and data.draw(st.booleans()):
+        records.insert(data.draw(st.integers(0, len(records))), ("SIGMA", ["0.75"]))
+    for _ in range(data.draw(st.integers(0, 3))):
+        how = data.draw(st.sampled_from(_CORRUPTIONS))
+        records = _corrupt(records, how, data.draw(st.integers(0, len(records) - 1)))
+
+    def draw_style():
+        return (data.draw(st.sampled_from(["upper", "lower", "title"])),
+                data.draw(st.sampled_from([" ", ",", ", ", " ,  "])),
+                data.draw(st.booleans()), data.draw(st.integers(0, 1)))
+
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    path = tmp_path / "records.txt"
+    with open(path, "w", newline="") as fh:
+        fh.write(newline.join(_file_text(records, draw_style)) + newline)
+    parse, reference = _READERS[kind]
+    assert _outcome(parse, path) == _outcome(reference, path)
