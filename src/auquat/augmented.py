@@ -140,11 +140,11 @@ def avq_conjugation(x, y) -> np.ndarray:
     """Conjugation x o y o x^-1 of an AVQ y by an invertible AQ x.
 
     The subspace of augmented vector quaternions is closed under this
-    map; a scalar slot above AVQ_SCALAR_TOL raises AVQClosureViolation
-    (an arithmetic bug, not a domain error).
+    map; a scalar slot that is_avq refuses (above AVQ_SCALAR_TOL, or NaN)
+    raises AVQClosureViolation (an arithmetic bug, not a domain error).
     """
     out = compose(compose(x, y), aq_inverse(x))
-    if np.any(np.abs(out[..., 0]) > AVQ_SCALAR_TOL):
+    if not is_avq(out):
         worst = float(np.max(np.abs(out[..., 0])))
         raise AVQClosureViolation(f"conjugation scalar slot {worst:.3e} exceeds tolerance")
     out[..., 0] = 0.0

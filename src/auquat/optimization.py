@@ -34,12 +34,12 @@ Jacobian is one dense (7m, 6s) matrix, so H and g are one product each.
 
 Nothing that does not depend on x is formed twice.  Each problem forms
 once the component weights W and sqrt(W) and, for hand-eye, one ambient
-Jacobian buffer (holding the pair matrices) and the (7s, 6s)
-block-diagonal lift [[B, 0], [0, I]] with its I blocks.  An assembly
-rewrites only the 3x4 block 2 G(t_a) q of each pair in the buffer and the
-bases B in the lift; the tangent Jacobian, H and g are new arrays, which
-the caller owns, as are those `linearize` returns.  So one hand-eye
-problem object is not for two threads at once.
+Jacobian buffer (holding the pair matrices) and the (7s, 6s) lift
+[[B, 0], [0, I]] with its I blocks.  `linearize` and each assembly
+rewrite only the 3x4 blocks 2 G(t_a) q in the buffer, and an assembly
+the bases B in the lift.  `linearize` returns a copy of the buffer, and
+the tangent Jacobian, H and g are new arrays: the caller owns them all.
+So one hand-eye problem object is for one thread at a time.
 
 A pose-graph residual takes one quaternion product and no inverse, and
 its tangent blocks are closed-form (`_slam_blocks`).  g and H are summed
@@ -149,7 +149,7 @@ class HandEyeProblem:
         return self._kernel.residuals(x)
 
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
-        return self._kernel.cols, self._kernel.jacobian(x)
+        return self._kernel.cols, np.swapaxes(self._kernel.jacobian(x).copy(), -3, -2)
 
     @cached_property
     def _lift(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +167,7 @@ class HandEyeProblem:
         (7m, 6s) matrix, so H and g are one product each."""
         lift, bases = self._lift
         bases[...] = _tangent_bases(x[:, :4])
-        jt = self._kernel.dense_jacobian(x) @ lift
+        jt = self._kernel.jacobian(x).reshape(-1, len(lift)) @ lift
         jt.reshape(len(z), 7, -1)[...] *= self._sqrt_weights[:, None]  # in place, through a view
         return (lambda: jt.T @ jt), ((z * self._sqrt_weights).ravel() @ jt).reshape(-1, 6)
 
@@ -344,7 +344,7 @@ class _PairKernel:
     where lin (..., s, 7, 7) is dz/dx with x's translation-by-quaternion
     block zero, and the second term is in the block of x.  lin is stored
     laid out (..., 7, s, 7), row-major in the residual components, so that
-    z is one product and the Jacobians are a view of one dense matrix.
+    z is one product and `jacobian`'s buffer is one dense (7m, 7s) matrix.
     """
 
     def __init__(self, lin, a, b):
@@ -364,24 +364,17 @@ class _PairKernel:
         z[..., 4:] -= self._t_b
         return z
 
-    def _fill(self, jac, x) -> np.ndarray:
-        """jac, laid out as lin, with x's translation-by-quaternion block at x."""
-        jac[..., 4:, 0, :4] = 2.0 * (self._forms @ x[0, :4]).reshape(self.batch + (3, 4))
-        return jac
-
-    def jacobian(self, x) -> np.ndarray:
-        """The (..., s, 7, 7) ambient Jacobians dz/dx at x, a new array."""
-        return np.swapaxes(self._fill(self._rows.copy(), x), -3, -2)
-
     @cached_property
     def _jac(self) -> np.ndarray:
-        """The one buffer `dense_jacobian` rewrites, made at its first call."""
+        """The one buffer `jacobian` rewrites, made at its first call."""
         return self._rows.copy()
 
-    def dense_jacobian(self, x) -> np.ndarray:
-        """The ambient Jacobian at x as one dense (7m, 7s) matrix, row-major in
-        the residual components: the kernel's buffer, valid until the next call."""
-        return self._fill(self._jac, x).reshape(self._dense.shape)
+    def jacobian(self, x) -> np.ndarray:
+        """The ambient Jacobians dz/dx at x, laid out as lin: the kernel's one
+        buffer, its translation-by-quaternion block rewritten at x, valid until
+        the next call."""
+        self._jac[..., 4:, 0, :4] = 2.0 * (self._forms @ x[0, :4]).reshape(self.batch + (3, 4))
+        return self._jac
 
 
 def _jacobian(qq, tt) -> np.ndarray:
@@ -518,7 +511,7 @@ def gradient(problem: Problem, x) -> np.ndarray:
     z = problem.residuals(x)
     cols, jac = problem.linearize(x)
     grad = np.zeros((problem.n_blocks, 7))
-    np.add.at(grad, cols, np.einsum("msij,mi->msj", jac, z * _component_weights(problem)))
+    np.add.at(grad, cols, np.einsum("msij,mi->msj", jac, z * problem._weights))
     return grad.ravel()
 
 
@@ -562,6 +555,9 @@ class SolverConfig:
 
     def __post_init__(self):
         quat._positive_finite("grad_tol", self.grad_tol)
+        for name, count in (("max_iters", self.max_iters), ("restarts", self.restarts)):
+            if not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.restarts < 1:

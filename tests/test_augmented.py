@@ -223,6 +223,14 @@ def test_avq_conjugation_flags_non_avq_input():
         aug.avq_conjugation(x, bad)
 
 
+def test_avq_conjugation_flags_nan_scalar_slot():
+    """NaN compares false with the tolerance, yet is_avq refuses it, so the
+    conjugation must too rather than write the slot as 0."""
+    y = aug.avq([np.nan, 0.0, 0.0], np.zeros(3))
+    with pytest.raises(AVQClosureViolation, match="scalar slot nan exceeds tolerance"):
+        aug.avq_conjugation(aug.identity(), y)
+
+
 # ---------------------------------------------------------------------------
 # point action and homogeneous oracle
 

@@ -401,6 +401,29 @@ def test_reused_buffers_do_not_alias(kind):
     assert cols1.tobytes() == kept[0].tobytes() and jac1.tobytes() == kept[1].tobytes()
 
 
+@pytest.mark.parametrize("kind", sorted(_FAMILIES))
+def test_reused_buffers_do_not_alias_interleaved(kind):
+    """`linearize` and the assembly of a hand-eye problem rewrite one buffer,
+    so neither result may change under the other: a `linearize` result
+    stays as it was after an assembly at x2, and H and g at x1 are those of
+    a fresh problem, byte for byte, after `linearize` at x2."""
+    problem = _FAMILIES[kind]()
+    rng = np.random.default_rng(23)
+    x1, x2 = (opt._retract(_rand_auq(problem.n_blocks, rng=rng)) for _ in range(2))
+    x1[problem.gauge] = x2[problem.gauge] = aug.IDENTITY
+    cols1, jac1 = problem.linearize(x1)
+    kept = cols1.copy(), jac1.copy()
+    problem.normal_equations(x2, problem.residuals(x2))[0]()
+    assert cols1.tobytes() == kept[0].tobytes() and jac1.tobytes() == kept[1].tobytes()
+
+    hessian1, grad1 = problem.normal_equations(x1, problem.residuals(x1))
+    problem.linearize(x2)
+    fresh = _FAMILIES[kind]()
+    fresh_hessian, fresh_grad = fresh.normal_equations(x1, fresh.residuals(x1))
+    assert hessian1().tobytes() == fresh_hessian().tobytes()
+    assert grad1.tobytes() == fresh_grad.tobytes()
+
+
 def test_recover_handeye():
     problem, x_true = gen_handeye(m=5, seed=12)
     result = opt.solve(problem, opt.SolverConfig(seed=0))
@@ -530,6 +553,11 @@ _REFUSALS = {
                        "initial guess must cover every vertex"),
     **{f"grad_tol {g}": (lambda g=g: opt.SolverConfig(grad_tol=g),
                          "grad_tol must be positive and finite") for g in (0.0, np.inf, np.nan)},
+    # counts that `range` would refuse mid-solve
+    **{f"{f} {v!r}": (lambda f=f, v=v: opt.SolverConfig(**{f: v}),
+                      f"{f} must be an integer, got {v!r}")
+       for f, v in [("max_iters", 2.5), ("restarts", 2.5), ("max_iters", np.nan),
+                    ("restarts", "3")]},
 }
 
 
@@ -537,6 +565,12 @@ _REFUSALS = {
 def test_problems_and_config_refuse_invalid_input(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_config_accepts_numpy_integer_counts():
+    config = opt.SolverConfig(max_iters=np.int64(3), restarts=np.int32(2))
+    problem, _ = gen_handeye(5, seed=3)
+    assert len(opt.solve(problem, config).restarts) <= 2
 
 
 def _reference_component_labels(n, edges):
