@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auquat import augmented as aug
 from auquat import control as ctl
@@ -180,6 +182,33 @@ def test_lyapunov_values():
     assert v == pytest.approx(2.0 * (np.pi / 2) ** 2, rel=1e-12)
 
 
+def _pose_component(exponent):
+    """A signed magnitude in [10^exponent, 10^(exponent + 4)) or, one draw in
+    ten each, zero or NaN: comparable magnitudes, whose sum order shows."""
+    magnitude = st.builds(lambda sign, mantissa, e: sign * mantissa * 10.0**e,
+                          st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0, exclude_max=True),
+                          st.integers(exponent, exponent + 3))
+    return st.builds(lambda kind, v: {0: np.nan, 1: 0.0}.get(kind, v), st.integers(0, 9), magnitude)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(), (1,), (5,), (3, 4), (2, 1, 3)]), st.floats(1e-3, 1e3),
+       st.floats(1e-3, 1e3), st.integers(-160, 156), st.data())
+def test_lyapunov_adds_as_np_sum(shape, alpha, beta, exponent, data):
+    # V's three squares per slot add left to right, as np.sum adds them: the
+    # loops share V, so their bit-equality test cannot see a change here.
+    # Components run from 1e-160 to 1e160, so squares from subnormal to inf.
+    size = 7 * math.prod(shape)
+    xe = np.reshape(data.draw(st.lists(_pose_component(exponent), min_size=size,
+                                       max_size=size)), shape + (7,))
+    with np.errstate(all="ignore"):
+        theta, te = qt.qlog_vec(xe[..., :4]), xe[..., 4:]
+        want = alpha * np.sum(theta * theta, axis=-1) + beta * np.sum(te * te, axis=-1)
+        got = ctl.lyapunov(xe, ctl.LyapunovWeights(alpha, beta))
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_lyapunov_weights_validation():
     with pytest.raises(ValueError):
         ctl.LyapunovWeights(alpha=0.0)
@@ -208,6 +237,13 @@ _REFUSALS = {
                                                  np.tile(aug.IDENTITY, (2, 1)), _ONES,
                                                  [[1.0, 1.0, 1.0], [1.0, np.inf, 1.0]], 1e-3, 5),
                      "gain entries must be positive and finite"),
+    **{f"steps-{name}": (lambda v=v: ctl.integrate(aug.IDENTITY, aug.IDENTITY,
+                                                   ctl.Gains(_ONES, _ONES), 1e-3, v),
+                         f"steps must be a non-negative integer, got {v!r}")
+       for name, v in (("2.5", 2.5), ("2.0", 2.0), ("float64-3.0", np.float64(3.0)))},
+    "batch-steps-2.5": (lambda: ctl.integrate_batch(aug.IDENTITY[None], aug.IDENTITY[None], _ONES,
+                                                    _ONES, 1e-3, 2.5),
+                        "steps must be a non-negative integer, got 2.5"),
     # finite poses whose error pose x0^-1 o xd overflows
     "batch-error-pose-overflows": (
         lambda: ctl.integrate_batch([[1.0, 0, 0, 0, 1e308, 1e308, 1e308]],
@@ -282,7 +318,7 @@ def test_single_trace_matches_batch():
     rotations = list(_START_ROTATIONS.values())
     cases = [(plants, dynamics, first)
              for dynamics in (ctl.DYNAMICS_EXPONENTIAL, ctl.DYNAMICS_TWIST)
-             for plants in (1, 3, 17)
+             for plants in (1, 3, 17, 100)
              for first in range(len(rotations) if plants < len(rotations) else 1)]
     for plants, dynamics, first in cases:
         rng = np.random.default_rng(3 + first)
@@ -397,6 +433,23 @@ def test_twist_dynamics_can_grow_transiently():
     assert twist.V.max() > twist.V[0] * 1.5  # transient growth
     exponential = ctl.integrate(x0, xd, gains, 1e-3, 3000)
     assert np.all(np.diff(exponential.V) <= 1e-9)  # default stays monotone
+
+
+def test_twist_transient_follows_its_closed_form():
+    # isotropic gains, te along the rotation axis l: theta_e = phi0 exp(-kr t) l,
+    # and te(t) = te(0) exp(-kt t + kr phi0^2 (1 - exp(-2 kr t))) along l, with
+    # phi0 the start half-angle, peaking at t* = ln(2 kr^2 phi0^2 / kt) / (2 kr)
+    kr, kt, phi0 = 2.0, 0.2, np.pi / 4
+    xd = np.array([np.cos(phi0), np.sin(phi0), 0.0, 0.0, 1.0, 0.0, 0.0])
+    twist = ctl.integrate(aug.IDENTITY, xd, ctl.Gains([kr] * 3, [kt] * 3), 1e-3, 3000,
+                          dynamics=ctl.DYNAMICS_TWIST)
+    t = twist.time
+    exact = np.exp(-kt * t + kr * phi0**2 * (1.0 - np.exp(-2.0 * kr * t)))
+    np.testing.assert_allclose(twist.te[:, 0], exact, rtol=1e-9, atol=0)
+    np.testing.assert_array_equal(twist.te[:, 1:], 0.0)
+    peak = np.log(2.0 * kr**2 * phi0**2 / kt) / (2.0 * kr)
+    assert abs(t[np.argmax(twist.te[:, 0])] - peak) <= 1e-3
+    assert twist.te[:, 0].max() == pytest.approx(2.78268, rel=1e-5)
 
 
 def test_group_translation_slot_differs_by_half_w2_te():
