@@ -63,8 +63,8 @@ def as_auq(x) -> np.ndarray:
 
 
 def auq(p, t) -> np.ndarray:
-    """Assemble an AUQ, normalizing/validating the quaternion part."""
-    return aq(quat.ensure_unit(p), t)
+    """Assemble an AUQ, validated and normalized as as_auq does."""
+    return as_auq(aq(p, t))
 
 
 def aq_add(x, y) -> np.ndarray:

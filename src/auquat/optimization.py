@@ -26,20 +26,23 @@ the quaternion p; Sola, Deray and Atchuthan, 2018), which are
 orthonormal, so |g| is the norm of the projected gradient.
 
 A hand-eye residual is linear in the pose blocks but for R(q)^T t_a, q
-the quaternion of x, so each hand-eye problem forms the matrices of its
-pairs once (L(a) - Rm(b) and I - R(b)^T; for the world problem L(a),
-Rm(b) and R(b)^T): `residuals` is a few batched products, and
-`linearize` fills in only the 3x4 block d(R(q)^T t_a)/dq.  The tangent
-Jacobian is one dense (7m, 6s) matrix, so H and g are one product each.
+the quaternion of x, so each hand-eye problem forms once its constant
+per-pair Jacobian (`_constant_jacobian`), the forms G(t_a) and t_b:
+`residuals` is a few batched products, and the Jacobian fills in only
+the 3x4 block d(R(q)^T t_a)/dq.  The tangent Jacobian is one dense
+(7m, 6s) matrix, so H and g are one product each.
 
 Nothing that does not depend on x is formed twice.  Each problem forms
-once the component weights W and sqrt(W) and, for hand-eye, one ambient
-Jacobian buffer (holding the pair matrices) and the (7s, 6s) lift
-[[B, 0], [0, I]] with its I blocks.  `linearize` and each assembly
-rewrite only the 3x4 blocks 2 G(t_a) q in the buffer, and an assembly
-the bases B in the lift.  `linearize` returns a copy of the buffer, and
-the tangent Jacobian, H and g are new arrays: the caller owns them all.
-So one hand-eye problem object is for one thread at a time.
+once the component weights W and sqrt(W) and, for hand-eye, those pair
+arrays, one ambient Jacobian buffer and the (7s, 6s) lift [[B, 0],
+[0, I]] with its I blocks.  `linearize` and each assembly rewrite only
+the 3x4 blocks 2 G(t_a) q in the buffer, and an assembly the bases B in
+the lift.  `linearize` returns a copy of the buffer, and the tangent
+Jacobian, H and g are new arrays: the caller owns them all.  So one
+hand-eye problem object is for one thread at a time.  A problem's data
+(`a`, `b` and `sigma`; a pose graph's `edges`, `measurements` and
+`sigma`) cannot be reassigned once set, as its cached arrays would go
+stale: build a new problem instead.
 
 A pose-graph residual takes one quaternion product and no inverse, and
 its tangent blocks are closed-form (`_slam_blocks`).  g and H are summed
@@ -110,6 +113,16 @@ def _sqrt_component_weights(problem) -> np.ndarray:
     return np.sqrt(problem._weights)
 
 
+def _set_once(*names):
+    """A __setattr__ that refuses to reassign the fields `names` once set:
+    a problem forms its cached arrays from them at their first use."""
+    def __setattr__(self, name, value):
+        if name in names and name in vars(self):
+            raise AttributeError(f"{name} cannot be reassigned; build a new problem")
+        object.__setattr__(self, name, value)
+    return __setattr__
+
+
 def _tangent_bases(p) -> np.ndarray:
     """The orthonormal bases (..., 4, 3) L(p)[:, 1:] of the tangent spaces of
     S^3 at unit p: the right perturbations, B delta = p [0, delta]."""
@@ -122,6 +135,16 @@ class HandEyeProblem:
 
     At least two pairs with independent rotation axes are needed for a
     well-posed rotation; the solver does not enforce this.
+
+    For x = [q, t], z = (a o x) - (y o b) (y is x here, the world pose in
+    HandEyeWorldProblem) is linear in the s pose blocks but for R(q)^T t_a
+    = [q^T G_j(t_a) q]_j (quaternion.rot_T_forms), so
+
+        z = lin x + [0, q^T G(t_a) q - t_b],    dz/dx = lin + [[0, 0], [2 G(t_a) q, 0]]
+
+    with lin (m, s, 7, 7) = `_constant_jacobian()`, zero in the second
+    term's block, x's translation by its quaternion.  Stored (m, 7, s, 7),
+    row-major in the residual components, lin makes z one product.
     """
 
     a: np.ndarray
@@ -131,25 +154,58 @@ class HandEyeProblem:
     gauge = np.zeros(0, dtype=int)  # no held blocks: every block is free
     _weights = cached_property(_component_weights)
     _sqrt_weights = cached_property(_sqrt_component_weights)
+    __setattr__ = _set_once("a", "b", "sigma")
 
     def __post_init__(self):
-        self.a = _unit_blocks(self.a, "a")
-        self.b = _unit_blocks(self.b, "b")
+        vars(self).update(a=_unit_blocks(self.a, "a"), b=_unit_blocks(self.b, "b"))
         if self.a.shape != self.b.shape:
             raise ValueError("a and b must hold the same number of poses")
         if len(self.a) < 1:
             raise ValueError("at least one measurement pair is required")
         quat._positive_finite("sigma", self.sigma)
 
+    def _constant_jacobian(self) -> np.ndarray:
+        """lin of (a o x) - (x o b): [[L(p_a) - Rm(p_b), 0], [0, I - R(p_b)^T]]."""
+        left = _jacobian(quat.left_matrix(self.a[:, :4]), np.eye(3))
+        return (left - _compose_jac_left(self.b))[:, None]
+
     @cached_property
-    def _kernel(self) -> _PairKernel:
-        return _handeye_kernel(self.a, self.b)
+    def _rows(self) -> np.ndarray:
+        return np.ascontiguousarray(np.swapaxes(self._constant_jacobian(), 1, 2))
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        return self._rows.reshape(-1, 7 * self.n_blocks)
+
+    @cached_property
+    def _forms(self) -> np.ndarray:
+        """The forms G(t_a) of every pair, stacked (12 m, 4)."""
+        return quat.rot_T_forms(self.a[:, 4:]).reshape(-1, 4)
+
+    @cached_property
+    def _t_b(self) -> np.ndarray:
+        return self.b[:, 4:]
 
     def residuals(self, x) -> np.ndarray:
-        return self._kernel.residuals(x)
+        q = x[0, :4]
+        z = (self._dense @ x.ravel()).reshape(-1, 7)
+        z[:, 4:] += ((self._forms @ q).reshape(-1, 4) @ q).reshape(-1, 3)
+        z[:, 4:] -= self._t_b
+        return z
+
+    @cached_property
+    def _jac(self) -> np.ndarray:
+        return self._rows.copy()
+
+    def _ambient_jacobian(self, x) -> np.ndarray:
+        """dz/dx at x, laid out as `_rows`: the one buffer `_jac`, its translation-
+        by-quaternion block rewritten at x, valid until the next call."""
+        self._jac[:, 4:, 0, :4] = 2.0 * (self._forms @ x[0, :4]).reshape(-1, 3, 4)
+        return self._jac
 
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray]:
-        return self._kernel.cols, np.swapaxes(self._kernel.jacobian(x).copy(), -3, -2)
+        cols = np.broadcast_to(np.arange(self.n_blocks), (len(self.a), self.n_blocks))
+        return cols, np.swapaxes(self._ambient_jacobian(x).copy(), 1, 2)
 
     @cached_property
     def _lift(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +223,7 @@ class HandEyeProblem:
         (7m, 6s) matrix, so H and g are one product each."""
         lift, bases = self._lift
         bases[...] = _tangent_bases(x[:, :4])
-        jt = self._kernel.jacobian(x).reshape(-1, len(lift)) @ lift
+        jt = self._ambient_jacobian(x).reshape(-1, len(lift)) @ lift
         jt.reshape(len(z), 7, -1)[...] *= self._sqrt_weights[:, None]  # in place, through a view
         return (lambda: jt.T @ jt), ((z * self._sqrt_weights).ravel() @ jt).reshape(-1, 6)
 
@@ -181,9 +237,11 @@ class HandEyeWorldProblem(HandEyeProblem):
 
     n_blocks = 2
 
-    @cached_property
-    def _kernel(self) -> _PairKernel:
-        return _world_kernel(self.a, self.b)
+    def _constant_jacobian(self) -> np.ndarray:
+        """lin of (a o x) - (y o b): [[L(p_a), 0], [0, I]] beside
+        -[[Rm(p_b), 0], [0, R(p_b)^T]]."""
+        left = _jacobian(quat.left_matrix(self.a[:, :4]), np.eye(3))
+        return np.stack([left, -_compose_jac_left(self.b)], axis=1)
 
 
 @dataclass
@@ -208,16 +266,17 @@ class PoseGraphProblem:
     n: int = field(init=False)
     _weights = cached_property(_component_weights)
     _sqrt_weights = cached_property(_sqrt_component_weights)
+    __setattr__ = _set_once("edges", "measurements", "sigma")
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges)
+        vars(self)["edges"] = np.asarray(self.edges)
         if self.edges.size == 0:
             raise ValueError("a pose graph needs at least one edge")
         if self.edges.ndim != 2 or self.edges.shape[1] != 2:
             raise ValueError("edges must have shape (m, 2)")
         if not np.issubdtype(self.edges.dtype, np.integer):
             raise ValueError(f"edge indices must be integers, got dtype {self.edges.dtype}")
-        self.measurements = _unit_blocks(self.measurements, "measurements")
+        vars(self)["measurements"] = _unit_blocks(self.measurements, "measurements")
         if len(self.measurements) != len(self.edges):
             raise ValueError("one measurement per edge is required")
         vertices = np.unique(self.edges)
@@ -333,50 +392,6 @@ Problem = HandEyeProblem | HandEyeWorldProblem | PoseGraphProblem
 # residuals, objective, gradient
 
 
-class _PairKernel:
-    """The residuals z = (a o x) - (y o b) of one hand-eye family from
-    per-problem matrices, broadcast over the pairs (a, b); y is x for
-    hand-eye.  For x = [q, t], z is linear in the pose blocks but for
-    R(q)^T t_a = [q^T G_j(t_a) q]_j (quaternion.rot_T_forms), so
-
-        z = lin x + [0, q^T G(t_a) q - t_b],    dz/dx = lin + [[0, 0], [2 G(t_a) q, 0]]
-
-    where lin (..., s, 7, 7) is dz/dx with x's translation-by-quaternion
-    block zero, and the second term is in the block of x.  lin is stored
-    laid out (..., 7, s, 7), row-major in the residual components, so that
-    z is one product and `jacobian`'s buffer is one dense (7m, 7s) matrix.
-    """
-
-    def __init__(self, lin, a, b):
-        s = lin.shape[-3]
-        self.batch = lin.shape[:-3]
-        self.cols = np.broadcast_to(np.arange(s), self.batch + (s,))
-        self._rows = np.ascontiguousarray(np.swapaxes(lin, -3, -2))
-        self._dense = self._rows.reshape(-1, 7 * s)
-        self._forms = quat.rot_T_forms(a[..., 4:]).reshape(-1, 4)  # (12 m, 4)
-        self._t_b = b[..., 4:]
-
-    def residuals(self, x) -> np.ndarray:
-        """The (..., 7) residuals at the (s, 7) pose blocks x."""
-        q = x[0, :4]
-        z = (self._dense @ x.ravel()).reshape(self.batch + (7,))
-        z[..., 4:] += ((self._forms @ q).reshape(-1, 4) @ q).reshape(self.batch + (3,))
-        z[..., 4:] -= self._t_b
-        return z
-
-    @cached_property
-    def _jac(self) -> np.ndarray:
-        """The one buffer `jacobian` rewrites, made at its first call."""
-        return self._rows.copy()
-
-    def jacobian(self, x) -> np.ndarray:
-        """The ambient Jacobians dz/dx at x, laid out as lin: the kernel's one
-        buffer, its translation-by-quaternion block rewritten at x, valid until
-        the next call."""
-        self._jac[..., 4:, 0, :4] = 2.0 * (self._forms @ x[0, :4]).reshape(self.batch + (3, 4))
-        return self._jac
-
-
 def _jacobian(qq, tt) -> np.ndarray:
     """The (..., 7, 7) Jacobian [[qq, 0], [0, tt]] of a map [p, t] -> [p', t']
     whose p' and t' depend on p and t alone, broadcast over the blocks."""
@@ -392,39 +407,14 @@ def _compose_jac_left(y) -> np.ndarray:
     return _jacobian(quat.right_matrix(q), quat.rot_matrix_T(q))
 
 
-def _pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a and b broadcast alike, and [[L(p_a), 0], [0, I]]: d(a o x)/dx but for
-    its x-dependent block."""
-    a, b = np.broadcast_arrays(quat._trailing(a, 7), quat._trailing(b, 7))
-    return a, b, _jacobian(quat.left_matrix(a[..., :4]), np.eye(3))
-
-
-def _handeye_kernel(a, b) -> _PairKernel:
-    """(a o x) - (x o b) = [(L(p_a) - Rm(p_b)) q, R(q)^T t_a + (I - R(p_b)^T) t - t_b]."""
-    a, b, left = _pairs(a, b)
-    return _PairKernel((left - _compose_jac_left(b))[..., None, :, :], a, b)
-
-
-def _world_kernel(a, b) -> _PairKernel:
-    """(a o x) - (y o b) = [L(p_a) q - Rm(p_b) r, R(q)^T t_a + t - R(p_b)^T s - t_b]
-    for y = [r, s]."""
-    a, b, left = _pairs(a, b)
-    return _PairKernel(np.stack([left, -_compose_jac_left(b)], axis=-3), a, b)
-
-
-def _single_poses(*poses) -> np.ndarray:
-    """(s, 7) pose blocks of single poses."""
-    return np.stack([np.reshape(quat._trailing(p, 7), 7) for p in poses])
-
-
 def residual_handeye(x, a, b) -> np.ndarray:
-    """Ambient residual (a o x) - (x o b) of one pose x, broadcast over the pairs."""
-    return _handeye_kernel(a, b).residuals(_single_poses(x))
+    """Ambient residual (a o x) - (x o b), broadcast over the poses."""
+    return aug.compose(a, x) - aug.compose(x, b)
 
 
 def residual_handeye_world(x, y, a, b) -> np.ndarray:
-    """Ambient residual (a o x) - (y o b) of one pose x and y each, broadcast over the pairs."""
-    return _world_kernel(a, b).residuals(_single_poses(x, y))
+    """Ambient residual (a o x) - (y o b), broadcast over the poses."""
+    return aug.compose(a, x) - aug.compose(y, b)
 
 
 def _slam_kernel(xi, xj) -> tuple[np.ndarray, ...]:

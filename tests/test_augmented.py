@@ -320,6 +320,8 @@ _REFUSALS = {
                      "quaternion norm deviates from 1 by 1.000e+00 (tol 1.0e-09)"),
     "auq-nan": (lambda: aug.auq([np.nan, 0.0, 0.0, 0.0], np.zeros(3)),
                 "quaternion components must be finite"),
+    "auq-inf-translation": (lambda: aug.auq([1.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]),
+                            "translation components must be finite"),
     "quat_part-0d": (lambda: aug.quat_part(1.0), "expected trailing dimension 7, got shape ()"),
     "quat_part-4": (lambda: aug.quat_part(aug.IDENTITY[:4]),
                     "expected trailing dimension 7, got shape (4,)"),

@@ -74,10 +74,11 @@ def test_residual_world_trivial_exact_and_continuous():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(0.5, 2.0))
 def test_handeye_kernels_match_the_compose_form(m, seed, log_scale, q_norm):
-    """Both hand-eye kernels, and the exported residual functions that
-    evaluate through them, give (a o x) - (x o b) and (a o x) - (y o b) to
-    1e-14 relative to the magnitudes of the composed poses, at translations
-    of 1e-3 to 1e3 and at a non-unit quaternion in x."""
+    """Both hand-eye problems' residuals, and the exported residual
+    functions, which are the compose form itself, give (a o x) - (x o b)
+    and (a o x) - (y o b) to 1e-14 relative to the magnitudes of the
+    composed poses, at translations of 1e-3 to 1e3 and at a non-unit
+    quaternion in x."""
     rng = np.random.default_rng(seed)
 
     def poses(n):
@@ -99,6 +100,19 @@ def test_handeye_kernels_match_the_compose_form(m, seed, log_scale, q_norm):
         assert z.shape == left.shape
         size = np.linalg.norm(left, axis=-1) + np.linalg.norm(right, axis=-1)
         assert np.all(np.linalg.norm(z - (left - right), axis=-1) <= 1e-14 * size)
+
+
+def test_exported_handeye_residuals_are_the_compose_form():
+    """residual_handeye and residual_handeye_world are the paper's
+    definitions (a o x) - (x o b) and (a o x) - (y o b), bit for bit."""
+    rng = np.random.default_rng(37)
+    for m in (1, 2, 7, 30) * 50:
+        a, b = _rand_auq(m, rng=rng), _rand_auq(m, rng=rng)
+        x, y = _rand_auq(2, rng=rng)
+        assert np.array_equal(opt.residual_handeye(x, a, b),
+                              aug.compose(a, x) - aug.compose(x, b))
+        assert np.array_equal(opt.residual_handeye_world(x, y, a, b),
+                              aug.compose(a, x) - aug.compose(y, b))
 
 
 def test_residual_slam_trivial_exact_and_gauge_invariant():
@@ -571,6 +585,24 @@ def test_config_accepts_numpy_integer_counts():
     config = opt.SolverConfig(max_iters=np.int64(3), restarts=np.int32(2))
     problem, _ = gen_handeye(5, seed=3)
     assert len(opt.solve(problem, config).restarts) <= 2
+
+
+@pytest.mark.parametrize("kind, name", [("handeye", "a"), ("handeye", "b"), ("handeye", "sigma"),
+                                        ("posegraph", "edges"), ("posegraph", "measurements"),
+                                        ("posegraph", "sigma")])
+def test_problem_data_cannot_be_reassigned(kind, name):
+    """A problem forms W, its pair arrays or its tree levels and slots from
+    its data at their first use, so a reassigned field would leave them
+    stale, with the objective of the old data: the reassignment is
+    refused, naming the field, and the problem keeps its data."""
+    build = {"handeye": lambda seed: gen_handeye(5, seed=seed)[0],
+             "posegraph": lambda seed: gen_posegraph(10, 10, seed=seed)[0]}[kind]
+    problem, other = build(3), build(4)
+    x = problem.initial_guess()
+    f, kept = opt.objective(problem, x), getattr(problem, name)
+    with pytest.raises(AttributeError, match=f"^{name} cannot be reassigned"):
+        setattr(problem, name, 4.0 if name == "sigma" else getattr(other, name))
+    assert getattr(problem, name) is kept and opt.objective(problem, x) == f
 
 
 def _reference_component_labels(n, edges):
