@@ -15,14 +15,21 @@ A file is read in one pass: its text is read whole, comments and commas
 are dropped from it at once, and it is split into lines as the file
 iterator splits them.  Each line is checked as a record (keyword, field
 count, indices) and its value fields kept as words; each record kind's
-words are then converted by one `float` pass into one array.  Only when
-a file is refused are its records looked at one by one, to name the
-first bad line in file order.
+words are then converted by one `float` pass into one array, and the
+result is built from those arrays.
+
+A refused file is read again one record at a time, and an error names
+the first bad record in file order: an unknown keyword, a wrong field
+count, a bad index or number, a repeated pose index, and in a problem
+file a sigma that is not positive and finite or is given twice, a self
+loop, or a pose that is not finite and unit.  Only a file with no bad
+record gets a whole-file error, which names the file alone: PAIR and
+EDGE/VERTEX records mixed, no records, a missing pose index, or a
+pose-graph vertex that no EDGE record measures.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import re
 
@@ -48,6 +55,7 @@ _PROBLEM = {"SIGMA": ((0, 1),), "PAIR": ((0, 14),), "EDGE": ((2, 7),), "VERTEX":
 _TRUTH = {"TRUTH": ((0, 7), (1, 7))}
 _SOLUTION = {"STATUS": ((0, 1),), "OBJECTIVE": ((0, 1),), "SOLUTION": ((0, 7),),
              "VERTEX": ((1, 7),)}
+_POSES = {"TRUTH", "SOLUTION", "VERTEX"}  # keywords of numbered poses, each number once
 
 
 def _rows(keyword, table, indexed: int = 0):
@@ -66,22 +74,24 @@ def _write(path, lines) -> None:
         fh.writelines(f"{line}\n" for line in lines)
 
 
-def _read(path, layouts) -> tuple[dict, ParseError | None]:
-    """Read the records of `layouts` from the file at `path` in one pass.
+def _lines(path) -> list[str]:
+    """The file's lines: its text read whole, comments and commas dropped in
+    one pass each, then split as the file iterator splits lines."""
+    with open(path) as fh:
+        text = fh.read()
+    return re.sub("#[^\n]*", "", text).replace(",", " ").split("\n")
+
+
+def _read(layouts, lines) -> dict:
+    """Read the records of `layouts` from `lines` in one pass.
 
     Returns, per keyword, the line numbers of its records, their index
     fields as integers (a tuple per record) and their values, one (n, v)
-    float array (for STATUS, its words), and the error of the first bad
-    line, or None; with an error, only the records above its line.  A
-    record needs a keyword of `layouts`, the field count of one of its
-    forms, nonnegative integer indices and float values."""
+    float array (for STATUS, its words).  A record needs a keyword of
+    `layouts`, the field count of one of its forms, nonnegative integer
+    indices and float values; else a ValueError is raised."""
     forms_of = {kw: {i + v: i for i, v in forms} for kw, forms in layouts.items()}
     found = {kw: ([], [], []) for kw in layouts}  # line numbers, indices, value words
-    error = None
-    with open(path) as fh:
-        text = fh.read()
-    # comments and commas go in one pass each; then lines split as the file iterator splits them
-    lines = re.sub("#[^\n]*", "", text).replace(",", " ").split("\n")
     for line_no, line in enumerate(lines, start=1):
         parts = line.split()
         if not parts:
@@ -89,71 +99,73 @@ def _read(path, layouts) -> tuple[dict, ParseError | None]:
         keyword, n_fields = parts[0].upper(), len(parts) - 1
         forms = forms_of.get(keyword)
         if forms is None:
-            error = ParseError(f"unknown record {parts[0]!r}", path, line_no)
-            break
+            raise ValueError(f"unknown record {parts[0]!r}")
         if n_fields not in forms:
             counts = " or ".join(map(str, forms))
             noun = "field" if counts == "1" else "fields"
-            error = ParseError(f"expected {counts} {noun} after {keyword}, got {n_fields}",
-                               path, line_no)
-            break
+            raise ValueError(f"expected {counts} {noun} after {keyword}, got {n_fields}")
         line_nos, indices, words = found[keyword]
         n_index = forms[n_fields]
         if n_index:
             fields = parts[1 : 1 + n_index]
             if not all(p.isdecimal() for p in fields):
-                error = ParseError(f"expected nonnegative integer indices, got "
-                                   f"{' '.join(fields)!r}", path, line_no)
-                break
+                raise ValueError(f"expected nonnegative integer indices, got {' '.join(fields)!r}")
             indices.append(tuple(map(int, fields)))
         else:
             indices.append(())
         line_nos.append(line_no)
         words += parts[1 + n_index :]
+    # one float pass per keyword: an (n, v) array; STATUS keeps its words
+    return {kw: (line_nos, indices, words if kw == "STATUS" else
+                 np.fromiter(map(float, words), float, len(words)).reshape(-1, layouts[kw][0][1]))
+            for kw, (line_nos, indices, words) in found.items()}
 
-    def values(keyword, words):  # one float pass: an (n, v) array; STATUS keeps its words
-        if keyword == "STATUS":
-            return words
-        flat = np.fromiter(map(float, words), float, len(words))
-        return flat.reshape(-1, layouts[keyword][0][1])
 
-    records = {}
-    for keyword, (line_nos, indices, words) in found.items():
+def _parse(path, layouts, build, check=None):
+    """`build` the records of the file at `path`, read in one pass.
+
+    A refused file is read again one record at a time: each record is read,
+    its values converted, its pose index (for TRUTH, SOLUTION and VERTEX
+    records) checked to be new, and the record `check`ed, if given.  The
+    first bad record in file order is named; with none, the build's error
+    is raised, naming the file."""
+    lines = _lines(path)
+    try:
+        return build(_read(layouts, lines))
+    except ValueError as exc:
+        error = exc
+    seen: set[int] = set()
+    for line_no, line in enumerate(lines, start=1):
         try:
-            records[keyword] = line_nos, indices, values(keyword, words)
-        except ValueError:  # name the first record with a bad value, if above the error so far
-            width = len(words) // len(line_nos)
-            for line_no, k in zip(line_nos, range(0, len(words), width)):
-                try:
-                    values(keyword, words[k : k + width])
-                except ValueError as exc:
-                    if error is None or line_no < error.line:
-                        error = ParseError(str(exc), path, line_no)
-                    break
-    if error is not None:
-        for keyword, (line_nos, indices, words) in found.items():
-            n = bisect.bisect_left(line_nos, error.line)
-            width = len(words) // max(len(line_nos), 1)
-            records[keyword] = line_nos[:n], indices[:n], values(keyword, words[: n * width])
-    return records, error
+            for keyword, (_, indices, values) in _read(layouts, [line]).items():
+                for index, value in zip(indices, values):  # the line's record, if any
+                    if keyword in _POSES:
+                        i = index[0] if index else len(seen)
+                        if i in seen:
+                            raise ValueError(f"pose index {i} is repeated")
+                        seen.add(i)
+                    if check:
+                        check(keyword, index, value, line_no)
+        except ValueError as exc:
+            raise ParseError(str(exc), path, line_no) from None
+    raise ParseError(str(error), path) from error
 
 
-def _by_index(rows, path) -> dict[int, np.ndarray]:
-    """Collect (index, pose, line_number) rows by index, each index once."""
-    poses: dict[int, np.ndarray] = {}
-    for i, pose, line_no in rows:
-        if i in poses:
-            raise ParseError(f"pose index {i} is repeated", path, line_no)
-        poses[i] = pose
+def _poses(records, *keywords) -> dict[int, np.ndarray]:
+    """The poses of the `keywords` records by index: a record's index field,
+    else its place among them in file order.  Each index must be new."""
+    rows = sorted(row for kw in keywords for row in zip(*records[kw]))  # in file order
+    poses = {index[0] if index else k: pose for k, (_, index, pose) in enumerate(rows)}
+    if len(poses) < len(rows):
+        raise ValueError("a pose index is repeated")
     return poses
 
 
-def _indexed_poses(rows, path) -> np.ndarray:
-    """Stack (index, pose, line_number) rows; the indices must be 0, ..., n - 1."""
-    poses = _by_index(rows, path)
+def _stack(poses) -> np.ndarray:
+    """Stack poses by index; the indices must be 0, ..., n - 1."""
     missing = set(range(len(poses))) - poses.keys()
     if missing:
-        raise ParseError(f"pose index {min(missing)} is missing", path)
+        raise ValueError(f"pose index {min(missing)} is missing")
     return np.array([poses[i] for i in range(len(poses))])
 
 
@@ -171,63 +183,51 @@ def write_problem(path, problem: Problem) -> None:
 def parse_problem_file(path, world: bool = False) -> Problem:
     """Parse a problem file; PAIR files yield the hand-eye problem, or the
     two-unknown variant when world=True."""
-    records, error = _read(path, _PROBLEM)
-    sigma_lines, _, sigmas = records["SIGMA"]
-    for k, line_no in enumerate(sigma_lines):  # above the bad line, if any
-        if not 0.0 < sigmas[k, 0] < np.inf:
-            raise ParseError("sigma must be positive and finite", path, line_no)
-        if k:
-            raise ParseError(f"SIGMA is repeated (first on line {sigma_lines[0]})", path, line_no)
-    if error is not None:
-        raise error
-    sigma = float(sigmas[0, 0]) if sigma_lines else 1.0
-    pairs = records["PAIR"][2]
+    sigma_lines: list[int] = []
+
+    def check(keyword, index, values, line_no) -> None:
+        """One record of a refused file, in file order: sigma positive, finite
+        and given once, an EDGE no self loop, a pose finite and unit."""
+        if keyword == "SIGMA":
+            if not 0.0 < values[0] < np.inf:
+                raise ValueError("sigma must be positive and finite")
+            if sigma_lines:
+                raise ValueError(f"SIGMA is repeated (first on line {sigma_lines[0]})")
+            sigma_lines.append(line_no)
+        elif keyword == "EDGE" and index[0] == index[1]:
+            raise ValueError("self loops are not allowed")
+        else:
+            aug.as_auq(values.reshape(-1, 7))
+
+    return _parse(path, _PROBLEM, lambda records: _problem(records, world), check)
+
+
+def _problem(records, world) -> Problem:
+    sigmas, pairs = records["SIGMA"][2], records["PAIR"][2]
+    if len(sigmas) > 1:  # the problem refuses a bad sigma itself
+        raise ValueError("SIGMA is repeated")
+    sigma = float(sigmas[0, 0]) if len(sigmas) else 1.0
     _, edges, measurements = records["EDGE"]
-    vertex_lines, vertex_indices, vertex_poses = records["VERTEX"]
-    vertices = _by_index(((i, pose, line_no) for (i,), pose, line_no
-                          in zip(vertex_indices, vertex_poses, vertex_lines)), path)
-
+    vertices = _poses(records, "VERTEX")
     if len(pairs) and (edges or vertices):
-        raise ParseError("PAIR and EDGE/VERTEX records cannot be mixed", path)
-    try:
-        if len(pairs):
-            cls = HandEyeWorldProblem if world else HandEyeProblem
-            return cls(a=pairs[:, :7], b=pairs[:, 7:], sigma=sigma)
-        if not edges:
-            raise ParseError("no measurements found", path)
-        edges, initial = np.array(edges), None
-        if vertices:
-            n = edges.max() + 1
-            if max(vertices) >= n:
-                raise ValueError(f"vertex {max(vertices)} is in no EDGE record")
-            if n <= edges.size:  # else some vertex is in no edge, which the problem refuses
-                initial = np.tile(aug.identity(), (n, 1))
-                initial[list(vertices)] = list(vertices.values())
-        if edges.dtype == object:
-            # an index past int64; capped at 2m, the first vertex in no edge stays the same
-            edges = np.minimum(edges, edges.size).astype(int)
-        return PoseGraphProblem(edges=edges, measurements=measurements, sigma=sigma,
-                                initial=initial)
-    except ParseError:
-        raise
-    except ValueError as exc:
-        _raise_first_bad_record(path, records)
-        raise ParseError(str(exc), path) from exc
-
-
-def _raise_first_bad_record(path, records) -> None:
-    """Name the line of the first problem record that is invalid on its own:
-    a self loop, or a pose that is not finite and unit.  Runs only once the
-    whole file has been refused, so valid files are checked once."""
-    rows = sorted((line_no, keyword, indices, values) for keyword, found in records.items()
-                  if keyword != "SIGMA" for line_no, indices, values in zip(*found))
-    for line_no, keyword, indices, values in rows:
-        try:
-            if keyword == "EDGE" and indices[0] == indices[1]:
-                raise ValueError("self loops are not allowed")
-            aug.as_auq(np.reshape(values, (-1, 7)))
-        except ValueError as exc:
-            raise ParseError(str(exc), path, line_no) from None
+        raise ValueError("PAIR and EDGE/VERTEX records cannot be mixed")
+    if len(pairs):
+        cls = HandEyeWorldProblem if world else HandEyeProblem
+        return cls(a=pairs[:, :7], b=pairs[:, 7:], sigma=sigma)
+    if not edges:
+        raise ValueError("no measurements found")
+    edges, initial = np.array(edges), None
+    if vertices:
+        n = edges.max() + 1
+        if max(vertices) >= n:
+            raise ValueError(f"vertex {max(vertices)} is in no EDGE record")
+        if n <= edges.size:  # else some vertex is in no edge, which the problem refuses
+            initial = np.tile(aug.identity(), (n, 1))
+            initial[list(vertices)] = list(vertices.values())
+    if edges.dtype == object:
+        # an index past int64; capped at 2m, the first vertex in no edge stays the same
+        edges = np.minimum(edges, edges.size).astype(int)
+    return PoseGraphProblem(edges=edges, measurements=measurements, sigma=sigma, initial=initial)
 
 
 def write_truth(path, truth, indexed: bool = False) -> None:
@@ -238,14 +238,13 @@ def write_truth(path, truth, indexed: bool = False) -> None:
 
 
 def parse_truth(path) -> np.ndarray:
-    records, error = _read(path, _TRUTH)
-    if error is not None:
-        raise error
-    rows = [(indices[0] if indices else k, pose, line_no)
-            for k, (line_no, indices, pose) in enumerate(zip(*records["TRUTH"]))]
-    if not rows:
-        raise ParseError("no TRUTH records found", path)
-    return _indexed_poses(rows, path)
+    def build(records):
+        poses = _poses(records, "TRUTH")
+        if not poses:
+            raise ValueError("no TRUTH records found")
+        return _stack(poses)
+
+    return _parse(path, _TRUTH, build)
 
 
 def write_solution(path, result: SolveResult, problem: Problem) -> None:
@@ -259,18 +258,16 @@ def write_solution(path, result: SolveResult, problem: Problem) -> None:
 
 
 def parse_solution(path) -> dict:
-    records, error = _read(path, _SOLUTION)
-    if error is not None:
-        raise error
-    status, objective = records["STATUS"][2], records["OBJECTIVE"][2]
-    poses = sorted([*zip(*records["SOLUTION"]), *zip(*records["VERTEX"])])  # in file order
-    rows = [(indices[0] if indices else k, pose, line_no)
-            for k, (line_no, indices, pose) in enumerate(poses)]
-    if not rows:
-        raise ParseError("no solution records found", path)
-    return {"status": status[-1] if status else None,
-            "objective": float(objective[-1, 0]) if len(objective) else None,
-            "solution": _indexed_poses(rows, path)}
+    def build(records):
+        status, objective = records["STATUS"][2], records["OBJECTIVE"][2]
+        poses = _poses(records, "SOLUTION", "VERTEX")
+        if not poses:
+            raise ValueError("no solution records found")
+        return {"status": status[-1] if status else None,
+                "objective": float(objective[-1, 0]) if len(objective) else None,
+                "solution": _stack(poses)}
+
+    return _parse(path, _SOLUTION, build)
 
 
 def write_trace(path, trace: ControlTrace) -> None:

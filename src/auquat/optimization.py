@@ -40,9 +40,10 @@ the 3x4 blocks 2 G(t_a) q in the buffer, and an assembly the bases B in
 the lift.  `linearize` returns a copy of the buffer, and the tangent
 Jacobian, H and g are new arrays: the caller owns them all.  So one
 hand-eye problem object is for one thread at a time.  A problem's data
-(`a`, `b` and `sigma`; a pose graph's `edges`, `measurements` and
-`sigma`) cannot be reassigned once set, as its cached arrays would go
-stale: build a new problem instead.
+(`a`, `b` and `sigma`; a pose graph's `edges`, `measurements`, `sigma`
+and `initial`) cannot be reassigned once set, as its cached arrays would
+go stale or its guess would skip the checks of construction: build a new
+problem instead, such as with `dataclasses.replace`.
 
 A pose-graph residual takes one quaternion product and no inverse, and
 its tangent blocks are closed-form (`_slam_blocks`).  g and H are summed
@@ -115,12 +116,19 @@ def _sqrt_component_weights(problem) -> np.ndarray:
 
 def _set_once(*names):
     """A __setattr__ that refuses to reassign the fields `names` once set:
-    a problem forms its cached arrays from them at their first use."""
+    a problem checks them at construction and forms its cached arrays from
+    them at their first use."""
     def __setattr__(self, name, value):
         if name in names and name in vars(self):
             raise AttributeError(f"{name} cannot be reassigned; build a new problem")
         object.__setattr__(self, name, value)
     return __setattr__
+
+
+def _check_sigma(sigma) -> None:
+    if np.ndim(sigma) != 0:
+        raise ValueError(f"sigma must be a scalar, got shape {np.shape(sigma)}")
+    quat._positive_finite("sigma", sigma)
 
 
 def _tangent_bases(p) -> np.ndarray:
@@ -162,7 +170,7 @@ class HandEyeProblem:
             raise ValueError("a and b must hold the same number of poses")
         if len(self.a) < 1:
             raise ValueError("at least one measurement pair is required")
-        quat._positive_finite("sigma", self.sigma)
+        _check_sigma(self.sigma)
 
     def _constant_jacobian(self) -> np.ndarray:
         """lin of (a o x) - (x o b): [[L(p_a) - Rm(p_b), 0], [0, I - R(p_b)^T]]."""
@@ -266,7 +274,7 @@ class PoseGraphProblem:
     n: int = field(init=False)
     _weights = cached_property(_component_weights)
     _sqrt_weights = cached_property(_sqrt_component_weights)
-    __setattr__ = _set_once("edges", "measurements", "sigma")
+    __setattr__ = _set_once("edges", "measurements", "sigma", "initial")
 
     def __post_init__(self):
         vars(self)["edges"] = np.asarray(self.edges)
@@ -288,9 +296,9 @@ class PoseGraphProblem:
                              "is in no EDGE record")
         if np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise ValueError("self loops are not allowed")
-        quat._positive_finite("sigma", self.sigma)
+        _check_sigma(self.sigma)
         if self.initial is not None:
-            self.initial = _unit_blocks(self.initial, "initial")
+            vars(self)["initial"] = _unit_blocks(self.initial, "initial")
             if len(self.initial) != self.n:
                 raise ValueError("initial guess must cover every vertex")
         adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.n)]

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -460,7 +461,7 @@ def test_slam_uses_file_initial_guess(tmp_path):
     from auquat.generation import gen_posegraph
 
     problem, x_true = gen_posegraph(n=5, loop_edges=3, seed=21)
-    problem.initial = x_true
+    problem = dataclasses.replace(problem, initial=x_true)
     path = tmp_path / "g.txt"
     files.write_problem(path, problem)
     solution = tmp_path / "g.sol"

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_world_flag_selects_two_unknowns(tmp_path):
 
 def test_posegraph_roundtrip_with_initial(tmp_path):
     problem, x_true = gen_posegraph(n=6, loop_edges=4, seed=2, sigma=2.0)
-    problem.initial = x_true
+    problem = dataclasses.replace(problem, initial=x_true)
     path = tmp_path / "g.txt"
     files.write_problem(path, problem)
     back = files.parse_problem_file(path)
@@ -45,7 +46,7 @@ def test_posegraph_roundtrip_with_initial(tmp_path):
     assert back.sigma == problem.sigma
     np.testing.assert_array_equal(back.edges, problem.edges)
     np.testing.assert_array_equal(back.measurements, problem.measurements)
-    np.testing.assert_array_equal(back.initial, x_true)
+    np.testing.assert_array_equal(back.initial, problem.initial)
 
 
 def test_posegraph_without_vertices_has_no_initial(tmp_path):
@@ -134,9 +135,15 @@ _POSE = "1 0 0 0 0.5 0 0"
         (files.parse_solution, f"STATUS converged\nTRUTH {_POSE}\n", "unknown record", 2),
         (files.parse_solution, "STATUS converged\nOBJECTIVE 0\n", "no solution records", None),
         (files.parse_solution, f"VERTEX {_POSE}\n", "8 fields after VERTEX", 1),
+        # the first bad record in file order is named, not a worse-looking line below it
+        (files.parse_truth, f"TRUTH 0 {_POSE}\nTRUTH 0 {_POSE}\nTRUTH 1 {_POSE}\nFOO\n",
+         "index 0 is repeated", 2),
+        (files.parse_solution, f"SOLUTION {_POSE}\nVERTEX 0 {_POSE}\nSTATUS\n",
+         "index 0 is repeated", 2),
     ],
     ids=["truth-negative", "vertex-negative", "truth-missing", "vertex-repeated", "bare-status",
-         "truth-unknown", "truth-empty", "solution-unknown", "solution-empty", "vertex-7-fields"],
+         "truth-unknown", "truth-empty", "solution-unknown", "solution-empty", "vertex-7-fields",
+         "truth-repeated-first", "solution-repeated-first"],
 )
 def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content, fragment, line):
     path = tmp_path / "bad.txt"
@@ -164,9 +171,17 @@ def test_truth_and_solution_readers_reject_bad_records(tmp_path, parse, content,
          "quaternion components must be finite", 2),
         ("VERTEX 0 1 0 0 0 0 0 0\nVERTEX 1 0.5 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n",
          "norm deviates", 2),
+        # the first bad record in file order is named, not a worse-looking line below it
+        ("PAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\nPAIR 2 0 0 0 0 0 0 1 0 0 0 0 0 0\n"
+         "PAIR 1 0 0 0 0 0 0 1 0 0 0 0 0 0\nFOO 1 2\n", "norm deviates", 2),
+        ("EDGE 0 1 1 0 0 0 0 0 0\nEDGE 0 0 1 0 0 0 0 0 0\nEDGE 1 2 1 0 0 0 0 0 0\n"
+         "EDGE 2 0 1 0 0 0 0 0 x\n", "self loops", 2),
+        ("VERTEX 0 1 0 0 0 0 0 0\nVERTEX 0 1 0 0 0 0 0 0\nEDGE 0 1 1 0 0 0 0 0 0\n"
+         "EDGE 1 2 1 0 0 0 0 0\n", "pose index 0 is repeated", 2),
     ],
     ids=["edge-negative", "vertex-negative", "sigma-inf", "sigma-repeated", "edge-self-loop",
-         "pair-non-unit", "pair-non-finite", "edge-non-finite", "vertex-non-unit"],
+         "pair-non-unit", "pair-non-finite", "edge-non-finite", "vertex-non-unit",
+         "pair-non-unit-first", "edge-self-loop-first", "vertex-repeated-first"],
 )
 def test_problem_reader_names_the_bad_records_line(tmp_path, content, fragment, line):
     path = tmp_path / "bad.txt"
@@ -301,8 +316,9 @@ def test_seventeen_digit_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.a[0], problem.a[0])
 
 
-# reference: the per-line reader that the one-pass reader replaced, and the
-# parse functions over it, kept as they were
+# reference: a per-line reader, and parse functions over it that check each
+# record as it is read, so a refused file names its first bad record in file
+# order; a file with no bad record gets the whole-file error
 def _per_line_records(path, layouts):
     forms_of = {kw: {i + v: i for i, v in forms} for kw, forms in layouts.items()}
     with open(path) as fh:
@@ -333,9 +349,22 @@ def _per_line_records(path, layouts):
             yield line_no, keyword, indices, values
 
 
+def _add_pose(poses, i, pose, path, line_no):
+    if i in poses:
+        raise ParseError(f"pose index {i} is repeated", path, line_no)
+    poses[i] = pose
+
+
+def _stacked(poses, path):
+    missing = set(range(len(poses))) - poses.keys()
+    if missing:
+        raise ParseError(f"pose index {min(missing)} is missing", path)
+    return np.array([poses[i] for i in range(len(poses))])
+
+
 def _per_line_problem(path, world=False):
     sigma, sigma_line = 1.0, None
-    pairs, edges, measurements, vertex_rows = [], [], [], []
+    pairs, edges, measurements, vertices = [], [], [], {}
     for line_no, keyword, indices, values in _per_line_records(path, files._PROBLEM):
         if keyword == "SIGMA":
             if not 0.0 < values[0] < np.inf:
@@ -343,14 +372,20 @@ def _per_line_problem(path, world=False):
             if sigma_line is not None:
                 raise ParseError(f"SIGMA is repeated (first on line {sigma_line})", path, line_no)
             sigma, sigma_line = float(values[0]), line_no
-        elif keyword == "PAIR":
+            continue
+        if keyword == "EDGE" and indices[0] == indices[1]:
+            raise ParseError("self loops are not allowed", path, line_no)
+        if keyword == "VERTEX":
+            _add_pose(vertices, indices[0], values, path, line_no)
+        try:
+            aug.as_auq(np.reshape(values, (-1, 7)))
+        except ValueError as exc:
+            raise ParseError(str(exc), path, line_no) from None
+        if keyword == "PAIR":
             pairs.append(values)
         elif keyword == "EDGE":
             edges.append(indices)
             measurements.append(values)
-        else:
-            vertex_rows.append((indices[0], values, line_no))
-    vertices = files._by_index(vertex_rows, path)
     if pairs and (edges or vertices):
         raise ParseError("PAIR and EDGE/VERTEX records cannot be mixed", path)
     try:
@@ -359,7 +394,7 @@ def _per_line_problem(path, world=False):
             cls = opt.HandEyeWorldProblem if world else opt.HandEyeProblem
             return cls(a=stacked[:, :7], b=stacked[:, 7:], sigma=sigma)
         if not edges:
-            raise ParseError("no measurements found", path)
+            raise ValueError("no measurements found")
         edges, initial = np.array(edges), None
         if vertices:
             n = edges.max() + 1
@@ -372,41 +407,32 @@ def _per_line_problem(path, world=False):
             edges = np.minimum(edges, edges.size).astype(int)
         return opt.PoseGraphProblem(edges=edges, measurements=np.array(measurements),
                                     sigma=sigma, initial=initial)
-    except ParseError:
-        raise
     except ValueError as exc:
-        for line_no, keyword, indices, values in _per_line_records(path, files._PROBLEM):
-            try:
-                if keyword == "EDGE" and indices[0] == indices[1]:
-                    raise ValueError("self loops are not allowed") from None
-                if keyword != "SIGMA":
-                    aug.as_auq(np.reshape(values, (-1, 7)))
-            except ValueError as bad:
-                raise ParseError(str(bad), path, line_no) from None
         raise ParseError(str(exc), path) from exc
 
 
 def _per_line_truth(path):
-    rows = [(indices[0] if indices else k, pose, line_no)
-            for k, (line_no, _, indices, pose) in enumerate(_per_line_records(path, files._TRUTH))]
-    if not rows:
+    poses = {}
+    for k, (line_no, _, indices, pose) in enumerate(_per_line_records(path, files._TRUTH)):
+        _add_pose(poses, indices[0] if indices else k, pose, path, line_no)
+    if not poses:
         raise ParseError("no TRUTH records found", path)
-    return files._indexed_poses(rows, path)
+    return _stacked(poses, path)
 
 
 def _per_line_solution(path):
     status = objective = None
-    rows = []
+    poses = {}
     for line_no, keyword, indices, values in _per_line_records(path, files._SOLUTION):
         if keyword == "STATUS":
             status = values[0]
         elif keyword == "OBJECTIVE":
             objective = float(values[0])
         else:
-            rows.append((indices[0] if indices else len(rows), values, line_no))
-    if not rows:
+            _add_pose(poses, indices[0] if indices else len(poses), values, path, line_no)
+    if not poses:
         raise ParseError("no solution records found", path)
-    return {"status": status, "objective": objective, "solution": files._indexed_poses(rows, path)}
+    return {"status": status, "objective": objective, "solution": _stacked(poses, path)}
 
 
 def _outcome(parse, path):
@@ -461,12 +487,13 @@ def _records_of(kind, seed, n):
 
 
 _CORRUPTIONS = ["keyword", "drop-field", "add-field", "bad-index", "negative-index",
-                "huge-index", "bad-float", "sigma", "sigma-zero"]
+                "huge-index", "bad-float", "sigma", "sigma-zero", "non-unit", "self-loop",
+                "repeat"]
 
 
 def _corrupt(records, how, at):
     """records with record `at` corrupted `how` (a SIGMA line, repeated or
-    zero, is inserted there)."""
+    zero, is inserted there; a repeated record after it)."""
     records = list(records)
     keyword, fields = records[at]
     if how == "keyword":
@@ -482,6 +509,13 @@ def _corrupt(records, how, at):
                        else fields)
     elif how == "bad-float":
         records[at] = (keyword, fields[:-1] + ["1.0.0"])
+    elif how == "non-unit":  # the last pose's quaternion scaled past unit norm
+        records[at] = (keyword, fields[:-7] + ["3"] + fields[-6:] if len(fields) >= 7
+                       else fields)
+    elif how == "self-loop":
+        records[at] = (keyword, fields[:1] * 2 + fields[2:] if keyword == "EDGE" else fields)
+    elif how == "repeat":  # a copy of the record after it, a repeated index if it has one
+        records.insert(at + 1, records[at])
     else:
         records.insert(at, ("SIGMA", ["2" if how == "sigma" else "0"]))
     return records

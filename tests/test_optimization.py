@@ -74,11 +74,10 @@ def test_residual_world_trivial_exact_and_continuous():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(0.5, 2.0))
 def test_handeye_kernels_match_the_compose_form(m, seed, log_scale, q_norm):
-    """Both hand-eye problems' residuals, and the exported residual
-    functions, which are the compose form itself, give (a o x) - (x o b)
-    and (a o x) - (y o b) to 1e-14 relative to the magnitudes of the
-    composed poses, at translations of 1e-3 to 1e3 and at a non-unit
-    quaternion in x."""
+    """Both hand-eye problems' residuals give (a o x) - (x o b) and
+    (a o x) - (y o b) to 1e-14 relative to the magnitudes of the composed
+    poses, at translations of 1e-3 to 1e3 and at a non-unit quaternion
+    in x."""
     rng = np.random.default_rng(seed)
 
     def poses(n):
@@ -93,8 +92,6 @@ def test_handeye_kernels_match_the_compose_form(m, seed, log_scale, q_norm):
     cases = [
         (handeye.residuals(x[None]), aug.compose(a, x), aug.compose(x, b)),
         (world.residuals(np.stack([x, y])), aug.compose(a, x), aug.compose(y, b)),
-        (opt.residual_handeye(x, a, b), aug.compose(a, x), aug.compose(x, b)),
-        (opt.residual_handeye_world(x, y, a[0], b[0]), aug.compose(a[0], x), aug.compose(y, b[0])),
     ]
     for z, left, right in cases:
         assert z.shape == left.shape
@@ -557,12 +554,18 @@ _REFUSALS = {
                   "a must have shape (m, 7), got (2, 3, 7)"),
     "hand-eye sigma nan": (lambda: opt.HandEyeProblem(_identities(1), _identities(1), np.nan),
                            "sigma must be positive and finite"),
+    "hand-eye sigma array": (lambda: opt.HandEyeProblem(_identities(2), _identities(2),
+                                                        np.array([1.0, 2.0])),
+                             "sigma must be a scalar, got shape (2,)"),
     "edges (m, 3)": (lambda: opt.PoseGraphProblem(edges=[[0, 1, 2]], measurements=_identities(1)),
                      "edges must have shape (m, 2)"),
     "measurement count": (lambda: opt.PoseGraphProblem([[0, 1], [1, 2]], _identities(3)),
                           "one measurement per edge is required"),
     **{f"graph sigma {s}": (lambda s=s: opt.PoseGraphProblem([[0, 1]], _identities(1), s),
                             "sigma must be positive and finite") for s in (0.0, np.inf, np.nan)},
+    "graph sigma array": (lambda: opt.PoseGraphProblem([[0, 1]], _identities(1),
+                                                       np.array([1.0, 2.0])),
+                          "sigma must be a scalar, got shape (2,)"),
     "initial length": (lambda: opt.PoseGraphProblem([[0, 1]], _identities(1), 1.0, _identities(3)),
                        "initial guess must cover every vertex"),
     **{f"grad_tol {g}": (lambda g=g: opt.SolverConfig(grad_tol=g),
@@ -589,7 +592,7 @@ def test_config_accepts_numpy_integer_counts():
 
 @pytest.mark.parametrize("kind, name", [("handeye", "a"), ("handeye", "b"), ("handeye", "sigma"),
                                         ("posegraph", "edges"), ("posegraph", "measurements"),
-                                        ("posegraph", "sigma")])
+                                        ("posegraph", "sigma"), ("posegraph", "initial")])
 def test_problem_data_cannot_be_reassigned(kind, name):
     """A problem forms W, its pair arrays or its tree levels and slots from
     its data at their first use, so a reassigned field would leave them
